@@ -121,9 +121,7 @@ def is_nuclear(
     dual, funs, wdual = dual_object(wa, node_cap)
     h_cat, h_funs = vsup_category(wa, x, node_cap)
     h_index = {f.mapping: k for k, f in enumerate(h_funs)}
-    t = build_tensor_product(
-        x, dual, wa, wdual, node_cap=node_cap, want_carrier_witness=False
-    )
+    t = build_tensor_product(x, dual, wa, wdual, node_cap=node_cap)
     if len(t.carrier) != len(h_cat):
         return False
 

@@ -128,10 +128,14 @@ def _build_parser() -> _Parser:
 def _caps(args):
     if not args.caps:
         return DEFAULT_CAPS
-    parts = args.caps.split(",")
-    if len(parts) != 3:
+    try:
+        caps = tuple(int(x) for x in args.caps.split(","))
+    except ValueError:
+        caps = ()
+    if len(caps) != 3:
+        print("vq: error: --caps expects three integers V,OBJ,NODES", file=sys.stderr)
         raise SystemExit(64)
-    return tuple(int(x) for x in parts)
+    return caps
 
 
 def _load(files, caps) -> Workspace:

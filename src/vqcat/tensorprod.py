@@ -7,11 +7,17 @@ presheaves xi satisfying, for every pair of weights,
 
 The left side always dominates the right, so the membership test can stop
 scanning a pair as soon as the running meet has dropped to the target.
+
+`build_tensor_product` does not filter D(A (x) B) with that test: by the
+Galois correspondence the ideals are exactly xi(a,b) = B(b, f a) for the
+sup-preserving f : A -> B^op, so it enumerates those maps instead.
+`galois_iso` keeps the definitional filter as the cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cocomplete import (
     CocompleteWitness,
@@ -158,28 +164,87 @@ def is_g_ideal(wa: CocompleteWitness, wb: CocompleteWitness, xi) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class TensorProduct:
+    """The carrier of A (x) B with its reflector and universal bimorphism.
+
+    Only the carrier is built eagerly.  D(A (x) B), the inclusion j, the
+    reflector q, the bimorphism i and the carrier's cocompleteness witness
+    are computed on first access and cached; reading `dab` (or anything
+    derived from it) enumerates D(A (x) B) under `node_cap` and may raise
+    SizeExceeded.
+    """
+
     wa: CocompleteWitness
     wb: CocompleteWitness
     ab: VCategory  # tensor_vcat(A, B)
-    dab: PresheafCategory  # D(A (x) B)
-    ideal_index: tuple[int, ...]  # carrier index -> dab index
+    ideal_vectors: tuple[tuple[int, ...], ...]  # carrier index -> ideal on A (x) B
     carrier: VCategory
-    q_mapping: tuple[int, ...]  # dab index -> carrier index, the reflector
-    i: VFunctor  # A (x) B -> carrier, the universal bimorphism
-    witness: CocompleteWitness | None  # of the carrier; None if size-guarded
+    node_cap: int  # for dab and witness
 
     def ideal_vector(self, k: int):
-        return self.dab.vectors[self.ideal_index[k]]
+        return self.ideal_vectors[k]
 
-    @property
+    @cached_property
+    def _row_index(self) -> dict:
+        # rows are distinct because the carrier is separated
+        return {row: k for k, row in enumerate(self.carrier.hom)}
+
+    def reflect(self, values) -> int:
+        """Carrier index of the least ideal above a presheaf on A (x) B.
+
+        q(xi) is the object whose hom row is D(A (x) B)(xi, -) on the ideals:
+        exactly the adjunction q -| inclusion.  No such row means no left
+        adjoint.
+        """
+        q = self.ab.quantale
+        row = tuple(presheaf_hom(q, values, w) for w in self.ideal_vectors)
+        k = self._row_index.get(row)
+        if k is None:
+            raise AssertionError("reflector is not left adjoint to inclusion")
+        return k
+
+    @cached_property
+    def i(self) -> VFunctor:
+        """A (x) B -> carrier, the universal bimorphism: reflected representables."""
+        ab = self.ab
+        mapping = tuple(
+            self.reflect(tuple(ab.hom[x][p] for x in range(len(ab))))
+            for p in range(len(ab))
+        )
+        return VFunctor(ab, self.carrier, mapping)
+
+    @cached_property
+    def dab(self) -> PresheafCategory:
+        """D(A (x) B), enumerated under `node_cap`."""
+        return enumerate_presheaves(self.ab, self.node_cap)
+
+    @cached_property
+    def ideal_index(self) -> tuple[int, ...]:
+        """Carrier index -> dab index."""
+        return tuple(self.dab.index[xi] for xi in self.ideal_vectors)
+
+    @cached_property
+    def q_mapping(self) -> tuple[int, ...]:
+        """Dab index -> carrier index, the reflector."""
+        return tuple(self.reflect(xi) for xi in self.dab.vectors)
+
+    @cached_property
     def j(self) -> VFunctor:
         """The inclusion carrier -> D(A (x) B); materializes dab.cat."""
         return VFunctor(self.carrier, self.dab.cat, self.ideal_index)
 
-    @property
+    @cached_property
     def q(self) -> VFunctor:
         """The reflector D(A (x) B) -> carrier; materializes dab.cat."""
         return VFunctor(self.dab.cat, self.carrier, self.q_mapping)
+
+    @cached_property
+    def witness(self) -> CocompleteWitness | None:
+        """Cocompleteness witness of the carrier; None if its presheaf
+        enumeration exceeds `node_cap`."""
+        try:
+            return check_cocomplete(self.carrier, node_cap=self.node_cap)
+        except SizeExceeded:
+            return None
 
 
 def _witness_for(x: VCategory, name: str) -> CocompleteWitness:
@@ -190,7 +255,10 @@ def _witness_for(x: VCategory, name: str) -> CocompleteWitness:
 
 
 def reflect_vector(q, ideal_vectors, values):
-    """Least ideal vector above `values`: pointwise meet of the majorants."""
+    """Least ideal vector above `values`: pointwise meet of the majorants.
+
+    The definitional reflector, kept as the oracle for `TensorProduct.reflect`.
+    """
     acc = None
     for xi in ideal_vectors:
         if all(q.le(v, w) for v, w in zip(values, xi)):
@@ -210,13 +278,13 @@ def build_tensor_product(
     wa: CocompleteWitness | None = None,
     wb: CocompleteWitness | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
-    want_carrier_witness: bool = True,
 ) -> TensorProduct:
     """Construct the tensor of two separated cocomplete categories.
 
-    Invariants (reflector splits the inclusion, the two are adjoint) are
-    verified before returning; carrier cocompleteness is verified when its
-    presheaf enumeration fits the node cap, else `witness` is None.
+    The ideals are the images xi(x,y) = B(y, f x) of the sup-preserving maps
+    f : A -> B^op (the Galois correspondence), in lexicographic vector order;
+    each is checked against the ideal equation.  D(A (x) B) is not
+    enumerated here; see `TensorProduct`.
     """
     if wa is None:
         wa = _witness_for(a, "left factor")
@@ -224,12 +292,16 @@ def build_tensor_product(
         wb = _witness_for(b, "right factor")
     q = a.quantale
     ab = tensor_vcat(a, b)
-    dab = enumerate_presheaves(ab, node_cap)
-    ideal_index = tuple(
-        i for i, xi in enumerate(dab.vectors) if is_g_ideal(wa, wb, xi)
+    nb = len(b)
+    ideal_vectors = tuple(
+        sorted(
+            tuple(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))
+            for f in enumerate_cocontinuous(wa, opposite(b), node_cap)
+        )
     )
-    pos = {di: k for k, di in enumerate(ideal_index)}
-    ideal_vectors = tuple(dab.vectors[di] for di in ideal_index)
+    for xi in ideal_vectors:
+        if not is_g_ideal(wa, wb, xi):
+            raise AssertionError("Galois image is not an ideal")
     carrier = VCategory(
         q,
         tuple(vector_name(ab, v) for v in ideal_vectors),
@@ -238,43 +310,12 @@ def build_tensor_product(
             for u in ideal_vectors
         ),
     )
-
-    q_mapping = tuple(
-        pos[dab.index[reflect_vector(q, ideal_vectors, xi)]] for xi in dab.vectors
-    )
-    i_mapping = tuple(
-        q_mapping[dab.index[tuple(ab.hom[x][p] for x in range(len(ab)))]]
-        for p in range(len(ab))
-    )
-    i_fun = VFunctor(ab, carrier, i_mapping)
-
-    for k, di in enumerate(ideal_index):
-        if q_mapping[di] != k:
-            raise AssertionError("reflector does not split the inclusion")
-    for di, xi in enumerate(dab.vectors):
-        hrow = carrier.hom[q_mapping[di]]
-        for k, w in enumerate(ideal_vectors):
-            if hrow[k] != presheaf_hom(q, xi, w):
-                raise AssertionError("reflector is not left adjoint to inclusion")
-
-    witness = None
-    if want_carrier_witness:
-        try:
-            witness = check_cocomplete(carrier, node_cap=node_cap)
-        except SizeExceeded:
-            witness = None
-    return TensorProduct(
-        wa, wb, ab, dab, ideal_index, carrier, q_mapping, i_fun, witness
-    )
+    return TensorProduct(wa, wb, ab, ideal_vectors, carrier, node_cap)
 
 
 def reflector_q(t: TensorProduct, values):
     """Least ideal above a presheaf on A (x) B, as a value vector."""
-    return reflect_vector(
-        t.ab.quantale,
-        tuple(t.dab.vectors[di] for di in t.ideal_index),
-        tuple(values),
-    )
+    return t.ideal_vectors[t.reflect(tuple(values))]
 
 
 def is_bimorphism(
@@ -308,8 +349,7 @@ def extend_bimorphism(
     q = c.quantale
     np = len(t.ab)
     mapping = []
-    for di in t.ideal_index:
-        xi = t.dab.vectors[di]
+    for xi in t.ideal_vectors:
         theta = tuple(
             q.join_of(q.mul(xi[p], c.hom[z][g.mapping[p]]) for p in range(np))
             for z in range(len(c))

@@ -110,6 +110,14 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("caps", ["8,8", "a,b,c", "8,8,1e6"])
+def test_malformed_caps_usage_error(chain2_file, caps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["presheaves", "--caps", caps, chain2_file])
+    assert exc.value.code == 64
+    assert "--caps" in capsys.readouterr().err
+
+
 def test_dist_compose(tmp_path, capsys):
     p = tmp_path / "d.vcat"
     p.write_text(

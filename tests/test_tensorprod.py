@@ -4,9 +4,11 @@ import itertools
 
 import pytest
 
+from vqcat import cocomplete, tensorprod
+from vqcat.ccd import dual_object
 from vqcat.cocomplete import check_cocomplete, join_obj, tensor_obj
 from vqcat.dist import VFunctor, functor_hom
-from vqcat.errors import NotCocompleteInput
+from vqcat.errors import NotCocompleteInput, SizeExceeded
 from vqcat.presheaf import d2_vector, enumerate_presheaves
 from vqcat.quantale import builtin
 from vqcat.tensorprod import (
@@ -17,11 +19,17 @@ from vqcat.tensorprod import (
     g_ideal_failure,
     is_bimorphism,
     is_g_ideal,
+    reflect_vector,
     reflector_q,
     star_autonomy_check,
     vsup_category,
 )
-from vqcat.vcat import pair_index, quantale_as_vcategory, tensor_vcat
+from vqcat.vcat import (
+    pair_index,
+    quantale_as_vcategory,
+    tensor_vcat,
+    validate_vcategory,
+)
 
 
 def naive_is_g_ideal(wa, wb, xi):
@@ -54,6 +62,38 @@ def iso_categories(x, y):
     return False
 
 
+def lattice(two, below):
+    """A finite lattice over the Boolean quantale: hom is 1 on the diagonal
+    and on `below`, a transitively closed set of strict-order pairs."""
+    n = 1 + max(j for _, j in below)
+    return validate_vcategory(
+        two,
+        tuple(f"e{i}" for i in range(n)),
+        tuple(
+            tuple(int(i == j or (i, j) in below) for j in range(n)) for i in range(n)
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def m3(two):
+    return lattice(two, {(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)})
+
+
+@pytest.fixture(scope="module")
+def factors(two, chain2, m3, v_luk):
+    return {
+        "chain2": chain2,
+        "chain3": lattice(two, {(0, 1), (0, 2), (1, 2)}),
+        # the pentagon: 0 < 1 < 2 < 4 and 0 < 3 < 4
+        "N5": lattice(
+            two, {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)}
+        ),
+        "M3": m3,
+        "V-luk3": v_luk,
+    }
+
+
 @pytest.fixture(scope="module")
 def t_chain2(chain2):
     return build_tensor_product(chain2, chain2)
@@ -63,6 +103,51 @@ def test_g_ideal_matches_naive_oracle(chain2, t_chain2):
     t = t_chain2
     for xi in t.dab.vectors:
         assert is_g_ideal(t.wa, t.wb, xi) == naive_is_g_ideal(t.wa, t.wb, xi)
+
+
+@pytest.mark.parametrize("partner", ["self", "dual"])
+@pytest.mark.parametrize("name", ["chain2", "chain3", "N5", "M3", "V-luk3"])
+def test_galois_carrier_matches_definitional_filter(factors, name, partner):
+    # the carrier comes from sup-maps A -> B^op and the reflector from row
+    # lookup; both must agree with the filter over D(A (x) B) and the
+    # meet of majorants
+    x = factors[name]
+    wx = check_cocomplete(x)
+    y, wy = (x, wx) if partner == "self" else dual_object(wx)[::2]
+    t = build_tensor_product(x, y, wx, wy)
+    ideals = tuple(
+        xi
+        for xi in enumerate_presheaves(t.ab).vectors
+        if is_g_ideal(t.wa, t.wb, xi)
+    )
+    assert t.ideal_vectors == ideals
+    q = t.ab.quantale
+    assert tuple(t.ideal_vectors[k] for k in t.q_mapping) == tuple(
+        reflect_vector(q, ideals, xi) for xi in t.dab.vectors
+    )
+
+
+def test_build_enumerates_no_presheaves(m3, monkeypatch):
+    w = check_cocomplete(m3)
+    bases = []
+
+    def counting(x, *args, **kwargs):
+        bases.append(x)
+        return enumerate_presheaves(x, *args, **kwargs)
+
+    for mod in (tensorprod, cocomplete):
+        monkeypatch.setattr(mod, "enumerate_presheaves", counting)
+    t = build_tensor_product(m3, m3, w, w, node_cap=10_000)
+    assert len(t.carrier) == 50
+    assert is_bimorphism(t.i, t.wa, t.wb)
+    assert bases == []
+    # the carrier's presheaf search runs only when the witness is read, and
+    # is size-guarded; D(A (x) B) is enumerated only when dab is read
+    assert t.witness is None
+    assert bases == [t.carrier]
+    with pytest.raises(SizeExceeded):
+        t.dab
+    assert bases == [t.carrier, t.ab]
 
 
 def test_chain2_square_has_two_ideals(chain2, t_chain2):
