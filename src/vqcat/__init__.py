@@ -7,6 +7,7 @@ from .vcat import (
     is_separated,
     opposite,
     quantale_as_vcategory,
+    row_object,
     separated_reflection,
     separation_witness,
     tensor_vcat,

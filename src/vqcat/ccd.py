@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 from .cocomplete import CocompleteWitness, check_cocomplete, tensor_obj
 from .dist import VFunctor, is_adjoint_functors, validate_functor
-from .errors import NoSuchColimit, NotCCD, NotCocomplete, NotCocompleteInput
-from .presheaf import DEFAULT_NODE_CAP, presheaf_hom
+from .errors import NoSuchColimit, NotCCD, NotCocompleteInput
+from .presheaf import DEFAULT_NODE_CAP
 from .tensorprod import (
     build_tensor_product,
     extend_bimorphism,
     is_bimorphism,
     vsup_category,
 )
-from .vcat import VCategory, quantale_as_vcategory
+from .vcat import VCategory, quantale_as_vcategory, row_object
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,25 +34,18 @@ class TotallyBelowWitness:
 
 
 def totally_below(wa: CocompleteWitness) -> TotallyBelowWitness:
-    """Left adjoint of sup, found per object by searching D(A).
+    """Left adjoint of sup, one row lookup in D(A) per object.
 
     t(a) is the unique presheaf with DA(t a, psi) = A(a, sup psi) for every
-    psi; raises NotCCD with the first object that has none.
+    psi: the object of D(A) whose hom row is (A(a, sup psi))_psi.  Raises
+    NotCCD with the first object that has none.
     """
     a_cat = wa.base
     dx = wa.dx
-    q = a_cat.quantale
     t = []
     for a in range(len(a_cat)):
-        found = -1
-        for i, phi in enumerate(dx.vectors):
-            if all(
-                presheaf_hom(q, phi, psi) == a_cat.hom[a][wa.sup_index[j]]
-                for j, psi in enumerate(dx.vectors)
-            ):
-                found = i
-                break
-        if found < 0:
+        found = row_object(dx.cat, (a_cat.hom[a][s] for s in wa.sup_index))
+        if found is None:
             raise NotCCD("no totally-below presheaf", obj=a_cat.objects[a])
         t.append(found)
     t_fun = validate_functor(a_cat, dx.cat, t)
@@ -142,7 +135,7 @@ def is_nuclear(
         return False
     try:
         big = extend_bimorphism(t, beta_fun)
-    except NotCocomplete:
+    except NoSuchColimit:
         return False
     if len(set(big.mapping)) != len(h_cat):
         return False
@@ -192,18 +185,10 @@ def ccd_closure_check(
     t = build_tensor_product(a, b, wa, wb, node_cap=node_cap)
     if t.witness is None or not is_ccd(t.carrier, t.witness):
         return False
-    # left adjoint of the reflector, by per-object search in D(A (x) B)
-    n_d = len(t.dab)
-    dhom = t.dab.cat.hom
-    for k in range(len(t.carrier)):
-        found = False
-        for cand in range(n_d):
-            if all(
-                dhom[cand][xi] == t.carrier.hom[k][t.q_mapping[xi]]
-                for xi in range(n_d)
-            ):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    # left adjoint of the reflector: for each k, the presheaf whose hom row
+    # in D(A (x) B) is (carrier(k, q xi))_xi
+    dcat = t.dab.cat
+    return all(
+        row_object(dcat, (hk[r] for r in t.q_mapping)) is not None
+        for hk in t.carrier.hom
+    )

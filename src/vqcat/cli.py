@@ -2,6 +2,12 @@
 
 Exit codes: 0 = verified / printed, 2 = a counterexample was found,
 3 = a size cap was exceeded, 64 = usage, 1 = bad input files.
+
+Every `vq check` action first needs a separated cocomplete category; on any
+other input it prints "not cocomplete (...)" and exits 2, because that is a
+counterexample to the property checked.  `vq tensor` needs separated
+cocomplete factors as its input, so there the same failure is bad input,
+exit 1.
 """
 
 from __future__ import annotations
@@ -258,36 +264,36 @@ def _cmd_check(args, caps) -> int:
     _check_obj_cap(ws, caps)
     code = 0
     for name, x in ws.vcats.items():
+        try:
+            wa = check_cocomplete(x, node_cap=caps[2])
+        except NotSeparated as exc:
+            print(f"vcategory {name}: not cocomplete ({exc})")
+            code = max(code, 2)
+            continue
+        except NotCocomplete as exc:
+            print(
+                f"vcategory {name}: not cocomplete (no supremum for "
+                + vector_name(x, exc.failing.values)
+                + ")"
+            )
+            code = max(code, 2)
+            continue
         if args.action == "cocomplete":
-            try:
-                check_cocomplete(x, node_cap=caps[2])
-                print(f"vcategory {name}: cocomplete")
-            except NotSeparated as exc:
-                print(f"vcategory {name}: not separated ({exc})")
-                code = max(code, 2)
-            except NotCocomplete as exc:
-                print(
-                    f"vcategory {name}: not cocomplete, no supremum for "
-                    + vector_name(x, exc.failing.values)
-                )
-                code = max(code, 2)
+            print(f"vcategory {name}: cocomplete")
         elif args.action == "ccd":
             try:
-                totally_below(check_cocomplete(x, node_cap=caps[2]))
+                totally_below(wa)
                 print(f"vcategory {name}: ccd")
-            except (NotSeparated, NotCocomplete) as exc:
-                print(f"vcategory {name}: not cocomplete ({exc})")
-                code = max(code, 2)
             except NotCCD as exc:
                 print(f"vcategory {name}: not ccd, no totally-below presheaf for {exc.obj}")
                 code = max(code, 2)
         elif args.action == "nuclear":
-            verdict = is_nuclear(x, node_cap=caps[2])
+            verdict = is_nuclear(x, wa, node_cap=caps[2])
             print(f"vcategory {name}: " + ("nuclear" if verdict else "not nuclear"))
             if not verdict:
                 code = max(code, 2)
         else:  # theorem
-            rep = check_main_theorem(x, node_cap=caps[2])
+            rep = check_main_theorem(x, wa, node_cap=caps[2])
             yn = lambda b: "yes" if b else "no"
             print(
                 f"vcategory {name}: ccd: {yn(rep.ccd)}, nuclear: {yn(rep.nuclear)},"

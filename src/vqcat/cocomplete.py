@@ -2,8 +2,10 @@
 
 A supremum is always the *representer* of the meet formula
 X(sup phi, x) = meet_x' [phi(x'), X(x',x)]; on a separated category it is
-unique when it exists.  `check_cocomplete` tabulates it for every presheaf;
-`sup_of` finds it for a single vector by row search, which keeps large but
+unique when it exists.  Tensors, joins and weighted colimits are found the
+same way, by `row_object`, and a weighted colimit is the supremum of the
+pushforward `apply_D`.  `check_cocomplete` tabulates the supremum for every
+presheaf; `sup_of` finds it for a single vector, which keeps large but
 known-cocomplete codomains (functor categories) usable without enumerating
 their presheaves.
 """
@@ -14,8 +16,14 @@ from dataclasses import dataclass
 
 from .dist import Distributor, VFunctor
 from .errors import NoSuchColimit, NotCocomplete, NotSeparated
-from .presheaf import DEFAULT_NODE_CAP, Presheaf, PresheafCategory, enumerate_presheaves
-from .vcat import VCategory, is_separated
+from .presheaf import (
+    DEFAULT_NODE_CAP,
+    Presheaf,
+    PresheafCategory,
+    apply_D,
+    enumerate_presheaves,
+)
+from .vcat import VCategory, is_separated, row_object
 
 
 def sup_target(x: VCategory, values):
@@ -29,11 +37,7 @@ def sup_target(x: VCategory, values):
 
 def representer(x: VCategory, values):
     """Object whose hom row matches the sup target, or None."""
-    target = sup_target(x, values)
-    for b in range(len(x)):
-        if x.hom[b] == target:
-            return b
-    return None
+    return row_object(x, sup_target(x, values))
 
 
 def sup_of(x: VCategory, values) -> int:
@@ -101,9 +105,9 @@ def tensor_obj(x: VCategory, v: int, z: int) -> int:
     """The tensor v (x) z, representer of [v, X(z,-)]."""
     q = x.quantale
     target = tuple(q.res(v, x.hom[z][b]) for b in range(len(x)))
-    for b in range(len(x)):
-        if x.hom[b] == target:
-            return b
+    b = row_object(x, target)
+    if b is not None:
+        return b
     raise NoSuchColimit(
         f"no tensor of object {x.objects[z]} by {q.elements[v]}",
         weight={"kind": "tensor", "v": v, "z": z, "target": target},
@@ -119,48 +123,35 @@ def join_obj(x: VCategory, objs) -> int:
     q = x.quantale
     objs = tuple(objs)
     target = tuple(q.meet_of(x.hom[z][b] for z in objs) for b in range(len(x)))
-    for b in range(len(x)):
-        if x.hom[b] == target:
-            return b
+    b = row_object(x, target)
+    if b is not None:
+        return b
     raise NoSuchColimit(
         "family has no representable join",
         weight={"kind": "join", "objs": objs, "target": target},
     )
 
 
-def weighted_colimit(
-    phi: Distributor, f: VFunctor, witness: CocompleteWitness | None = None
-) -> VFunctor:
-    """colim(phi, f)(x) = join_y phi(y,x) (x) f(y), for phi: X -|-> Y, f: Y -> Z."""
+def weighted_colimit(phi: Distributor, f: VFunctor) -> VFunctor:
+    """colim(phi, f)(x) = sup f_* phi(-, x), for phi: X -|-> Y, f: Y -> Z."""
     if phi.cod != f.dom:
         raise ValueError("weight codomain must match the functor domain")
     z = f.cod
-    q = z.quantale
     ny = len(f.dom)
     mapping = []
     for a in range(len(phi.dom)):
-        theta = tuple(
-            q.join_of(
-                q.mul(phi.mat[y][a], z.hom[b][f.mapping[y]]) for y in range(ny)
+        theta = apply_D(f, tuple(phi.mat[y][a] for y in range(ny)))
+        b = representer(z, theta)
+        if b is None:
+            raise NoSuchColimit(
+                "weighted colimit does not exist",
+                weight={"kind": "weighted", "x": a, "theta": theta},
             )
-            for b in range(len(z))
-        )
-        if witness is not None:
-            mapping.append(witness.sup_vector(theta))
-        else:
-            b = representer(z, theta)
-            if b is None:
-                raise NoSuchColimit(
-                    "weighted colimit does not exist",
-                    weight={"kind": "weighted", "x": a, "theta": theta},
-                )
-            mapping.append(b)
+        mapping.append(b)
     return VFunctor(phi.dom, z, tuple(mapping))
 
 
-def left_kan(
-    j: VFunctor, f: VFunctor, witness: CocompleteWitness | None = None
-) -> VFunctor:
+def left_kan(j: VFunctor, f: VFunctor) -> VFunctor:
     """Pointwise Lan_j f (x) = join_y X(j y, x) (x) f(y)."""
     if j.dom != f.dom:
         raise ValueError("Kan extension needs a common domain")
@@ -173,22 +164,17 @@ def left_kan(
             for y in range(len(j.dom))
         ),
     )
-    return weighted_colimit(weight, f, witness)
+    return weighted_colimit(weight, f)
 
 
 def is_cocontinuous(
     f: VFunctor, wa: CocompleteWitness, wb: CocompleteWitness | None = None
 ) -> bool:
     """f preserves all suprema: f(sup phi) represents the pushforward of phi."""
-    a, b = f.dom, f.cod
-    q = a.quantale
+    b = f.cod
     for i, phi in enumerate(wa.dx.vectors):
         b0 = f.mapping[wa.sup_index[i]]
-        theta = tuple(
-            q.join_of(q.mul(b.hom[c][f.mapping[x]], phi[x]) for x in range(len(a)))
-            for c in range(len(b))
-        )
-        if b.hom[b0] != sup_target(b, theta):
+        if b.hom[b0] != sup_target(b, apply_D(f, phi)):
             return False
     return True
 

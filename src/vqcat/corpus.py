@@ -1,15 +1,13 @@
 """Deterministic verification suite over the shipped example files.
 
 Each instance loads a packaged workspace file, runs a library check, and
-reports fixed-order key/value records.  Instances may run on a worker pool
-(VQ_THREADS); output order and content are independent of the pool size.
+reports fixed-order key/value records.  Instances run one after another in
+the order of `INSTANCES`, so the output is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from .ccd import ccd_closure_check, ccd_reflector, check_main_theorem, totally_below
@@ -276,24 +274,12 @@ INSTANCES = [
 ]
 
 
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("VQ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_corpus(machine: bool = False):
     """Run every instance; returns (exit_code, list of output lines)."""
-    threads = thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda e: e[1](), INSTANCES))
-    else:
-        results = [fn() for _, fn in INSTANCES]
     lines = []
     all_ok = True
-    for (name, _), (ok, recs) in zip(INSTANCES, results):
+    for name, fn in INSTANCES:
+        ok, recs = fn()
         all_ok = all_ok and ok
         if machine:
             for key, value in recs:

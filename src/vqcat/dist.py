@@ -49,17 +49,6 @@ def validate_functor(dom: VCategory, cod: VCategory, mapping) -> VFunctor:
     return VFunctor(dom, cod, mapping)
 
 
-def is_functor(dom: VCategory, cod: VCategory, mapping) -> bool:
-    q = dom.quantale
-    for x in range(len(dom)):
-        hx = dom.hom[x]
-        cx = cod.hom[mapping[x]]
-        for x2 in range(len(dom)):
-            if not q.le(hx[x2], cx[mapping[x2]]):
-                return False
-    return True
-
-
 def identity_functor(x: VCategory) -> VFunctor:
     return VFunctor(x, x, tuple(range(len(x))))
 

@@ -175,21 +175,24 @@ def functor_to_dist(f: VFunctor, dx: PresheafCategory) -> Distributor:
     )
 
 
-def apply_D(f: VFunctor, phi, dy_base: VCategory):
-    """Value vector of (Df)(phi) = f_* . phi, without materializing D(Y)."""
+def apply_D(f: VFunctor, phi):
+    """Value vector of (Df)(phi) = f_* . phi, without materializing D(Y).
+
+    The pushforward (f_* phi)(y) = join_x Y(y, f x) * phi(x); every weighted
+    colimit is the supremum of one.
+    """
     q = f.dom.quantale
+    y = f.cod
     return tuple(
-        q.join_of(
-            q.mul(dy_base.hom[b][f.mapping[a]], phi[a]) for a in range(len(f.dom))
-        )
-        for b in range(len(dy_base))
+        q.join_of(q.mul(y.hom[b][f.mapping[a]], phi[a]) for a in range(len(f.dom)))
+        for b in range(len(y))
     )
 
 
 def D_on_functor(f: VFunctor, dx: PresheafCategory, dy: PresheafCategory) -> VFunctor:
     """D f: D(X) -> D(Y), phi |-> f_* . phi."""
     mapping = tuple(
-        dy.index[apply_D(f, phi, dy.base)] for phi in dx.vectors
+        dy.index[apply_D(f, phi)] for phi in dx.vectors
     )
     return VFunctor(dx.cat, dy.cat, mapping)
 

@@ -24,10 +24,10 @@ from .cocomplete import (
     check_cocomplete,
     is_cocontinuous,
     join_obj,
-    representer,
     tensor_obj,
+    weighted_colimit,
 )
-from .dist import VFunctor, functor_hom
+from .dist import Distributor, VFunctor, functor_hom
 from .errors import (
     NoSuchColimit,
     NotCocomplete,
@@ -42,7 +42,14 @@ from .presheaf import (
     presheaf_hom,
     vector_name,
 )
-from .vcat import VCategory, opposite, pair_index, quantale_as_vcategory, tensor_vcat
+from .vcat import (
+    VCategory,
+    opposite,
+    pair_index,
+    quantale_as_vcategory,
+    row_object,
+    tensor_vcat,
+)
 
 
 def enumerate_vfunctors(dom: VCategory, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP):
@@ -183,11 +190,6 @@ class TensorProduct:
     def ideal_vector(self, k: int):
         return self.ideal_vectors[k]
 
-    @cached_property
-    def _row_index(self) -> dict:
-        # rows are distinct because the carrier is separated
-        return {row: k for k, row in enumerate(self.carrier.hom)}
-
     def reflect(self, values) -> int:
         """Carrier index of the least ideal above a presheaf on A (x) B.
 
@@ -197,7 +199,7 @@ class TensorProduct:
         """
         q = self.ab.quantale
         row = tuple(presheaf_hom(q, values, w) for w in self.ideal_vectors)
-        k = self._row_index.get(row)
+        k = row_object(self.carrier, row)
         if k is None:
             raise AssertionError("reflector is not left adjoint to inclusion")
         return k
@@ -335,35 +337,14 @@ def is_bimorphism(
     return True
 
 
-def extend_bimorphism(
-    t: TensorProduct, g: VFunctor, wc: CocompleteWitness | None = None
-) -> VFunctor:
+def extend_bimorphism(t: TensorProduct, g: VFunctor) -> VFunctor:
     """The sup-preserving map on the carrier restricting to g along i.
 
-    f(xi) = sup_C of c |-> join_p xi(p) * C(c, g p), the colimit of g
-    weighted by the ideal xi.
+    f(xi) = sup_C g_* xi: the colimit of g weighted by the ideals, read as a
+    distributor carrier -|-> A (x) B.
     """
-    if g.dom != t.ab:
-        raise ValueError("bimorphism domain must be the object tensor")
-    c = g.cod
-    q = c.quantale
-    np = len(t.ab)
-    mapping = []
-    for xi in t.ideal_vectors:
-        theta = tuple(
-            q.join_of(q.mul(xi[p], c.hom[z][g.mapping[p]]) for p in range(np))
-            for z in range(len(c))
-        )
-        if wc is not None:
-            mapping.append(wc.sup_vector(theta))
-        else:
-            z = representer(c, theta)
-            if z is None:
-                raise NotCocomplete(
-                    "extension needs a supremum the codomain lacks", failing=theta
-                )
-            mapping.append(z)
-    return VFunctor(t.carrier, c, tuple(mapping))
+    weight = Distributor(t.carrier, t.ab, tuple(zip(*t.ideal_vectors)))
+    return weighted_colimit(weight, g)
 
 
 def check_universal_property(
@@ -371,7 +352,6 @@ def check_universal_property(
     b: VCategory,
     c: VCategory,
     t: TensorProduct | None = None,
-    wc: CocompleteWitness | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> bool:
     """Restriction along i and extension are inverse hom-preserving bijections
@@ -380,31 +360,25 @@ def check_universal_property(
         t = build_tensor_product(a, b, node_cap=node_cap)
     if t.witness is None:
         raise SizeExceeded("carrier witness unavailable", estimate=len(t.carrier))
-    if wc is None:
-        wc = _witness_for(c, "test codomain")
+    _witness_for(c, "test codomain")
     bimorphs = [
         f
         for m in enumerate_vfunctors(t.ab, c, node_cap)
         for f in [VFunctor(t.ab, c, m)]
         if is_bimorphism(f, t.wa, t.wb)
     ]
-    cocont = enumerate_cocontinuous(t.witness, c, node_cap)
-    cocont_by_map = {f.mapping: f for f in cocont}
+    cocont = {f.mapping for f in enumerate_cocontinuous(t.witness, c, node_cap)}
     if len(bimorphs) != len(cocont):
         return False
-    seen = set()
-    for g in bimorphs:
-        ghat = extend_bimorphism(t, g, wc)
-        if ghat.mapping not in cocont_by_map or ghat.mapping in seen:
+    extensions = [extend_bimorphism(t, g) for g in bimorphs]
+    # as many extensions as sup-maps, so set equality makes them distinct
+    if {h.mapping for h in extensions} != cocont:
+        return False
+    for g, h in zip(bimorphs, extensions):
+        if tuple(h.mapping[k] for k in t.i.mapping) != g.mapping:
             return False
-        seen.add(ghat.mapping)
-        restricted = tuple(ghat.mapping[t.i.mapping[p]] for p in range(len(t.ab)))
-        if restricted != g.mapping:
-            return False
-    for g1 in bimorphs:
-        for g2 in bimorphs:
-            h1 = extend_bimorphism(t, g1, wc)
-            h2 = extend_bimorphism(t, g2, wc)
+    for g1, h1 in zip(bimorphs, extensions):
+        for g2, h2 in zip(bimorphs, extensions):
             if functor_hom(g1, g2) != functor_hom(h1, h2):
                 return False
     return True

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ReflexivityFail, TransitivityFail
+from .errors import QuantaleMismatch, ReflexivityFail, TransitivityFail, VCatError
 from .quantale import Quantale
 
 
@@ -42,12 +42,20 @@ def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
     objects = tuple(objects)
     hom = tuple(tuple(row) for row in hom)
     m = len(objects)
-    if len(hom) != m or any(len(r) != m for r in hom):
-        raise ValueError("hom matrix has wrong shape")
-    for row in hom:
-        for v in row:
+    if len(hom) != m:
+        raise VCatError(f"hom matrix has {len(hom)} rows for {m} objects", (len(hom), m))
+    for x, row in enumerate(hom):
+        if len(row) != m:
+            raise VCatError(
+                f"hom row {objects[x]} has {len(row)} entries for {m} objects",
+                (objects[x], len(row)),
+            )
+        for y, v in enumerate(row):
             if not 0 <= v < q.n:
-                raise ValueError(f"hom entry {v} is not a quantale index")
+                raise VCatError(
+                    f"hom[{objects[x]}][{objects[y]}] = {v} is not a quantale index",
+                    (objects[x], objects[y], v),
+                )
     for x in range(m):
         if not q.le(q.unit, hom[x][x]):
             raise ReflexivityFail(
@@ -63,6 +71,19 @@ def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
                         (objects[x], objects[y], objects[z]),
                     )
     return VCategory(q, objects, hom)
+
+
+def row_object(x: VCategory, row):
+    """The first object b with X(b, -) equal to `row`, or None.
+
+    Every universal construction in V-Sup is this lookup: the supremum, the
+    tensor, the join and the reflector are the objects representing a given
+    hom row.  On a separated category the object is unique.
+    """
+    try:
+        return x.hom.index(tuple(row))
+    except ValueError:
+        return None
 
 
 def underlying_order(x: VCategory) -> tuple[tuple[bool, ...], ...]:
@@ -102,7 +123,7 @@ def tensor_vcat(x: VCategory, y: VCategory) -> VCategory:
     so pair (a,b) sits at index a*|Y| + b.
     """
     if x.quantale != y.quantale:
-        raise ValueError("tensor of V-categories over different quantales")
+        raise QuantaleMismatch("tensor of V-categories over different quantales")
     q = x.quantale
     objects = tuple(
         f"({a},{b})" for a in x.objects for b in y.objects

@@ -133,3 +133,51 @@ def test_dist_compose(tmp_path, capsys):
 def test_machine_flag_position(capsys):
     # --machine is accepted after the subcommand as well
     assert main(["quantale", "show", "two", "--machine"]) == 0
+
+
+def test_quantale_mismatch_is_a_typed_error(tmp_path, capsys):
+    p = tmp_path / "mixed.vcat"
+    p.write_text(
+        "quantale two builtin two\n"
+        "quantale L builtin lukasiewicz3\n"
+        "vcategory A = ofquantale two\n"
+        "vcategory B = ofquantale L\n"
+        "vcategory W = tensor A B\n",
+        encoding="utf-8",
+    )
+    assert main(["vcat", "validate", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+NON_SEPARATED = """
+quantale two builtin two
+vcategory S over two
+  objects x0 x1
+  hom x0 x1 = 1
+  hom x1 x0 = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "cocomplete"], 2),
+        (["check", "ccd"], 2),
+        (["check", "nuclear"], 2),
+        (["check", "theorem"], 2),
+        (["tensor", "FILE"], 1),
+    ],
+)
+def test_non_separated_exit_codes(tmp_path, capsys, argv, code):
+    # every check reports the input as not cocomplete, a counterexample;
+    # tensor needs cocomplete factors, so there it is bad input
+    p = tmp_path / "s.vcat"
+    p.write_text(NON_SEPARATED, encoding="utf-8")
+    assert main([a if a != "FILE" else str(p) for a in argv] + [str(p)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "vcategory S: not cocomplete (cocompleteness requires a separated category)\n"
+    else:
+        assert err.startswith("error: ") and "separated" in err

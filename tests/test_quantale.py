@@ -10,6 +10,7 @@ import pytest
 
 from vqcat.errors import (
     NotAssociative,
+    QuantaleError,
     NotCommutative,
     NotJoinPreserving,
     NotALattice,
@@ -19,7 +20,6 @@ from vqcat.quantale import (
     BUILTIN_NAMES,
     builtin,
     powerset_monoid,
-    residuate,
     validate_quantale,
 )
 from vqcat.textio import parse_text, show_quantale
@@ -46,7 +46,7 @@ def test_lukasiewicz3_values():
     a, zero = q.index("a"), q.index("0")
     assert q.mul(a, a) == zero
     assert q.hom[a][zero] == a
-    assert residuate(q, a, zero) == a
+    assert q.res(a, zero) == a
     assert q.integral
 
 
@@ -64,8 +64,8 @@ def test_unit_residuation_is_identity():
     for name in BUILTIN_NAMES:
         q = builtin(name)
         for w in range(q.n):
-            assert residuate(q, q.unit, w) == w
-            assert residuate(q, w, q.top) == q.top
+            assert q.res(q.unit, w) == w
+            assert q.res(w, q.top) == q.top
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -90,9 +90,29 @@ def test_mult_distributes_over_joins(name):
                 assert lhs == rhs
 
 
+def _search_sugihara3():
+    """Every idempotent quantale structure on the 3-chain with unit a.
+
+    The oracle for the builtin's literal table: an exhaustive search over all
+    3^9 candidate multiplication tables.
+    """
+    leq = tuple(tuple(x <= y for y in range(3)) for x in range(3))
+    found = []
+    for cells in itertools.product(range(3), repeat=9):
+        mult = [list(cells[0:3]), list(cells[3:6]), list(cells[6:9])]
+        if any(mult[x][x] != x for x in range(3)):
+            continue
+        try:
+            found.append(validate_quantale(("0", "a", "1"), leq, mult, unit=1))
+        except QuantaleError:
+            continue
+    return found
+
+
 def test_sugihara3_is_derived_uniquely():
     # unit is the middle element and multiplication is idempotent on the
-    # diagonal; the search in quantale.py must land on exactly this table
+    # diagonal; the search must land on exactly the builtin table
+    assert _search_sugihara3() == [builtin("sugihara3")]
     q = builtin("sugihara3")
     assert q.elements[q.unit] == "a"
     for v in range(q.n):

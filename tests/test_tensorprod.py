@@ -9,7 +9,7 @@ from vqcat.ccd import dual_object
 from vqcat.cocomplete import check_cocomplete, join_obj, tensor_obj
 from vqcat.dist import VFunctor, functor_hom
 from vqcat.errors import NotCocompleteInput, SizeExceeded
-from vqcat.presheaf import d2_vector, enumerate_presheaves
+from vqcat.presheaf import apply_D, d2_vector, enumerate_presheaves
 from vqcat.quantale import builtin
 from vqcat.tensorprod import (
     build_tensor_product,
@@ -236,13 +236,12 @@ def test_extend_universal_bimorphism_is_identity(t_chain2):
 
 
 def test_extension_restricts_to_g(chain2, t_chain2):
-    wc = check_cocomplete(chain2)
     # the meet map (a,b) -> a ^ b, Boolean multiplication, is a bimorphism
     g = VFunctor(
         t_chain2.ab, chain2, tuple(min(p // 2, p % 2) for p in range(4))
     )
     assert is_bimorphism(g, t_chain2.wa, t_chain2.wb)
-    f = extend_bimorphism(t_chain2, g, wc)
+    f = extend_bimorphism(t_chain2, g)
     for p in range(len(t_chain2.ab)):
         assert f.mapping[t_chain2.i.mapping[p]] == g.mapping[p]
 
@@ -319,6 +318,45 @@ def test_universal_property_chain2(chain2):
 
 def test_universal_property_degenerate_target(chain2, one_top):
     assert check_universal_property(chain2, chain2, one_top)
+
+
+def _bimorphisms(t, c):
+    return [
+        g
+        for m in tensorprod.enumerate_vfunctors(t.ab, c)
+        for g in [VFunctor(t.ab, c, m)]
+        if is_bimorphism(g, t.wa, t.wb)
+    ]
+
+
+def test_universal_property_extends_each_bimorphism_once(chain2, monkeypatch):
+    t = build_tensor_product(chain2, chain2)
+    calls = []
+
+    def counting(t, g, *rest):
+        calls.append(g.mapping)
+        return extend_bimorphism(t, g, *rest)
+
+    monkeypatch.setattr(tensorprod, "extend_bimorphism", counting)
+    assert check_universal_property(chain2, chain2, chain2, t=t)
+    bimorphs = _bimorphisms(t, chain2)
+    assert len(bimorphs) > 1
+    assert sorted(calls) == sorted(g.mapping for g in bimorphs)
+
+
+@pytest.mark.parametrize("name", ["two", "lukasiewicz3", "heyting3"])
+def test_extension_is_the_tabulated_sup(name):
+    # the extension's sup is the representer; on a separated cocomplete
+    # codomain it is the sup-table entry of the pushforward of each ideal
+    v = quantale_as_vcategory(builtin(name))
+    t = build_tensor_product(v, v)
+    wc = check_cocomplete(v)
+    bimorphs = _bimorphisms(t, v)
+    assert bimorphs
+    for g in bimorphs:
+        assert extend_bimorphism(t, g).mapping == tuple(
+            wc.sup_vector(apply_D(g, xi)) for xi in t.ideal_vectors
+        )
 
 
 def test_galois_chain2(chain2):

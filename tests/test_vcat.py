@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from vqcat.errors import ReflexivityFail, TransitivityFail
+from vqcat.errors import QuantaleMismatch, ReflexivityFail, TransitivityFail, VCatError
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.vcat import (
     discrete,
@@ -45,6 +45,25 @@ def test_transitivity_witness(two):
     with pytest.raises(TransitivityFail) as exc:
         validate_vcategory(two, ("p", "q", "r"), hom)
     assert exc.value.witness == ("p", "q", "r")
+
+
+@pytest.mark.parametrize(
+    "hom, witness",
+    [
+        (((1, 1),), (1, 2)),
+        (((1, 1), (0,)), ("q", 1)),
+        (((1, 2), (0, 1)), ("p", "q", 2)),
+    ],
+)
+def test_shape_and_range_errors_are_typed(two, hom, witness):
+    with pytest.raises(VCatError) as exc:
+        validate_vcategory(two, ("p", "q"), hom)
+    assert exc.value.witness == witness
+
+
+def test_tensor_over_different_quantales(two, luk3):
+    with pytest.raises(QuantaleMismatch):
+        tensor_vcat(quantale_as_vcategory(two), quantale_as_vcategory(luk3))
 
 
 def test_underlying_order_luk3(luk3, v_luk):
