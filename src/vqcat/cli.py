@@ -145,7 +145,7 @@ def _caps(args):
 
 
 def _load(files, caps) -> Workspace:
-    ws = parse_files(files)
+    ws = parse_files(files, node_cap=caps[2], obj_cap=caps[1])
     cap_v = caps[0]
     for name, q in ws.quantales.items():
         if q.n > cap_v:
@@ -266,16 +266,8 @@ def _cmd_check(args, caps) -> int:
     for name, x in ws.vcats.items():
         try:
             wa = check_cocomplete(x, node_cap=caps[2])
-        except NotSeparated as exc:
+        except (NotSeparated, NotCocomplete) as exc:
             print(f"vcategory {name}: not cocomplete ({exc})")
-            code = max(code, 2)
-            continue
-        except NotCocomplete as exc:
-            print(
-                f"vcategory {name}: not cocomplete (no supremum for "
-                + vector_name(x, exc.failing.values)
-                + ")"
-            )
             code = max(code, 2)
             continue
         if args.action == "cocomplete":

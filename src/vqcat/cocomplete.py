@@ -7,14 +7,16 @@ same way, by `row_object`, and a weighted colimit is the supremum of the
 pushforward `apply_D`.  `check_cocomplete` tabulates the supremum for every
 presheaf; `sup_of` finds it for a single vector, which keeps large but
 known-cocomplete codomains (functor categories) usable without enumerating
-their presheaves.
+their presheaves.  A map is cocontinuous exactly when it has the right
+adjoint g(c) = sup B(f-, c), so `is_cocontinuous` computes g and checks
+the one hom equality B(f-, -) = A(-, g-).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dist import Distributor, VFunctor
+from .dist import Distributor, VFunctor, is_adjoint_functors
 from .errors import NoSuchColimit, NotCocomplete, NotSeparated
 from .presheaf import (
     DEFAULT_NODE_CAP,
@@ -22,8 +24,9 @@ from .presheaf import (
     PresheafCategory,
     apply_D,
     enumerate_presheaves,
+    vector_name,
 )
-from .vcat import VCategory, is_separated, row_object
+from .vcat import VCategory, row_object, separation_witness
 
 
 def sup_target(x: VCategory, values):
@@ -45,7 +48,7 @@ def sup_of(x: VCategory, values) -> int:
     b = representer(x, values)
     if b is None:
         raise NotCocomplete(
-            "presheaf has no supremum", failing=Presheaf(x, tuple(values))
+            f"no supremum for {vector_name(x, values)}", failing=Presheaf(x, tuple(values))
         )
     return b
 
@@ -67,19 +70,14 @@ def check_cocomplete(
     x: VCategory, dx: PresheafCategory | None = None, node_cap: int = DEFAULT_NODE_CAP
 ) -> CocompleteWitness:
     """Full sup table over D(x); raises NotSeparated / NotCocomplete(failing)."""
-    if not is_separated(x):
-        raise NotSeparated("cocompleteness requires a separated category")
+    pair = separation_witness(x)
+    if pair is not None:
+        raise NotSeparated(
+            f"not separated: {x.objects[pair[0]]} ~ {x.objects[pair[1]]}", witness=pair
+        )
     if dx is None:
         dx = enumerate_presheaves(x, node_cap)
-    table = []
-    for values in dx.vectors:
-        b = representer(x, values)
-        if b is None:
-            raise NotCocomplete(
-                "presheaf has no supremum", failing=Presheaf(x, values)
-            )
-        table.append(b)
-    return CocompleteWitness(x, dx, tuple(table))
+    return CocompleteWitness(x, dx, tuple(sup_of(x, values) for values in dx.vectors))
 
 
 def try_cocomplete(x: VCategory, dx=None, node_cap: int = DEFAULT_NODE_CAP):
@@ -167,23 +165,27 @@ def left_kan(j: VFunctor, f: VFunctor) -> VFunctor:
     return weighted_colimit(weight, f)
 
 
-def is_cocontinuous(
-    f: VFunctor, wa: CocompleteWitness, wb: CocompleteWitness | None = None
-) -> bool:
-    """f preserves all suprema: f(sup phi) represents the pushforward of phi."""
-    b = f.cod
-    for i, phi in enumerate(wa.dx.vectors):
-        b0 = f.mapping[wa.sup_index[i]]
-        if b.hom[b0] != sup_target(b, apply_D(f, phi)):
-            return False
-    return True
-
-
 def right_adjoint(f: VFunctor, wa: CocompleteWitness) -> VFunctor:
-    """Right adjoint of a cocontinuous f, as Lan_f(id): g(b) = sup B(f-, b)."""
+    """Right adjoint of a cocontinuous f, as Lan_f(id): g(b) = sup B(f-, b).
+
+    Raises KeyError when some B(f-, b) is not a presheaf on A.
+    """
     a, b = f.dom, f.cod
     mapping = tuple(
         wa.sup_vector(tuple(b.hom[f.mapping[x]][c] for x in range(len(a))))
         for c in range(len(b))
     )
     return VFunctor(b, a, mapping)
+
+
+def is_cocontinuous(f: VFunctor, wa: CocompleteWitness) -> bool:
+    """f preserves all suprema, i.e. has the right adjoint g(c) = sup B(f-, c).
+
+    A map whose B(f-, c) is no presheaf is not a V-functor, hence not
+    cocontinuous.
+    """
+    try:
+        g = right_adjoint(f, wa)
+    except KeyError:
+        return False
+    return is_adjoint_functors(f, g)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dist import Distributor, VFunctor
+from .dist import Distributor, VFunctor, identity_dist
 from .errors import SizeExceeded
 from .quantale import Quantale
 from .vcat import VCategory, tensor_vcat, underlying_order, unit_category
@@ -33,7 +33,8 @@ class PresheafCategory:
     are reproducible across runs; `index` maps a vector back to its object
     index.  The full hom matrix (`cat`) is quadratic in a count that can run
     to thousands, so it is only materialized on first use; `hom_ij` computes
-    single entries without it.
+    single entries and `row_object` finds the object with a given hom row
+    without it.
     """
 
     def __init__(self, base: VCategory, vectors):
@@ -51,14 +52,29 @@ class PresheafCategory:
     @property
     def cat(self) -> VCategory:
         if self._cat is None:
-            q = self.base.quantale
-            hom = tuple(
-                tuple(presheaf_hom(q, phi, psi) for psi in self.vectors)
-                for phi in self.vectors
-            )
-            names = tuple(vector_name(self.base, v) for v in self.vectors)
-            self._cat = VCategory(q, names, hom)
+            self._cat = presheaf_subcategory(self.base, self.vectors)
         return self._cat
+
+    def row_object(self, row):
+        """The index of the presheaf l with DX(l, psi_k) = row_k for every k,
+        or None.
+
+        row_k * l <= psi_k says that l lies below the cotensor [row_k, psi_k],
+        so l lies below their pointwise meet m.  Then m's row is at least
+        `row` (m is below each cotensor) and at most l's (DX(-, psi) reverses
+        order), so l = m, as D(X) is separated.  m is the one candidate, and
+        one row check decides.
+        """
+        q = self.base.quantale
+        row = tuple(row)
+        cand = [q.top] * len(self.base)
+        for v, psi in zip(row, self.vectors, strict=True):
+            for x, w in enumerate(psi):
+                cand[x] = q.meet[cand[x]][q.res(v, w)]
+        cand = tuple(cand)
+        if all(presheaf_hom(q, cand, psi) == v for v, psi in zip(row, self.vectors)):
+            return self.index[cand]
+        return None
 
 
 def is_presheaf_vector(x: VCategory, values) -> bool:
@@ -78,6 +94,17 @@ def presheaf_hom(q: Quantale, phi, psi) -> int:
 
 def vector_name(x: VCategory, values) -> str:
     return "<" + ",".join(x.quantale.elements[v] for v in values) + ">"
+
+
+def presheaf_subcategory(x: VCategory, vectors) -> VCategory:
+    """The full subcategory of D(x) on the given presheaf vectors."""
+    q = x.quantale
+    vectors = tuple(vectors)
+    return VCategory(
+        q,
+        tuple(vector_name(x, v) for v in vectors),
+        tuple(tuple(presheaf_hom(q, u, w) for w in vectors) for u in vectors),
+    )
 
 
 def enumerate_presheaves(x: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> PresheafCategory:
@@ -143,11 +170,7 @@ def enumerate_presheaves(x: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> Pres
 
 def yoneda(x: VCategory, dx: PresheafCategory) -> VFunctor:
     """y(x) = X(-, x), the column of the hom matrix."""
-    m = len(x)
-    mapping = tuple(
-        dx.index[tuple(x.hom[a][b] for a in range(m))] for b in range(m)
-    )
-    return VFunctor(x, dx.cat, mapping)
+    return dist_to_functor(identity_dist(x), dx)
 
 
 def dist_to_functor(phi: Distributor, dx: PresheafCategory) -> VFunctor:
@@ -281,22 +304,19 @@ def cauchy_completion(x: VCategory, dx: PresheafCategory):
     """Inv(D y, D_forall y) computed by the direct pointwise comparison.
 
     phi is kept iff DX(psi, phi) <= join_x DX(psi, y x) * phi(x) for all psi;
-    this avoids materializing D(DX).  Returns (subcategory of DX, indices).
+    this avoids materializing D(DX), and only the kept square of DX is built.
+    Returns (subcategory of DX, indices).
     """
     q = x.quantale
     m = len(x)
     ycols = [tuple(x.hom[a][b] for a in range(m)) for b in range(m)]
-    kept = []
-    for i, phi in enumerate(dx.vectors):
-        ok = True
-        for psi in dx.vectors:
-            lhs = presheaf_hom(q, psi, phi)
-            rhs = q.join_of(
-                q.mul(presheaf_hom(q, psi, ycols[b]), phi[b]) for b in range(m)
-            )
-            if not q.le(lhs, rhs):
-                ok = False
-                break
-        if ok:
-            kept.append(i)
-    return full_subcategory(dx.cat, kept), tuple(kept)
+    to_y = [tuple(presheaf_hom(q, psi, col) for col in ycols) for psi in dx.vectors]
+    kept = tuple(
+        i
+        for i, phi in enumerate(dx.vectors)
+        if all(
+            q.le(presheaf_hom(q, psi, phi), q.join_of(map(q.mul, ty, phi)))
+            for psi, ty in zip(dx.vectors, to_y)
+        )
+    )
+    return presheaf_subcategory(x, (dx.vectors[i] for i in kept)), kept

@@ -39,8 +39,9 @@ from .presheaf import (
     DEFAULT_NODE_CAP,
     PresheafCategory,
     enumerate_presheaves,
+    full_subcategory,
     presheaf_hom,
-    vector_name,
+    presheaf_subcategory,
 )
 from .vcat import (
     VCategory,
@@ -173,11 +174,13 @@ def is_g_ideal(wa: CocompleteWitness, wb: CocompleteWitness, xi) -> bool:
 class TensorProduct:
     """The carrier of A (x) B with its reflector and universal bimorphism.
 
-    Only the carrier is built eagerly.  D(A (x) B), the inclusion j, the
-    reflector q, the bimorphism i and the carrier's cocompleteness witness
-    are computed on first access and cached; reading `dab` (or anything
-    derived from it) enumerates D(A (x) B) under `node_cap` and may raise
-    SizeExceeded.
+    Only the carrier, the full subcategory of D(A (x) B) on the ideals, is
+    built eagerly.  D(A (x) B) (`dab`), the inclusion as `ideal_index`, the
+    reflector as `q_mapping`, the bimorphism `i` and the carrier's
+    cocompleteness `witness` are computed on first access and cached.
+    Reading `dab`, `ideal_index` or `q_mapping` enumerates D(A (x) B) under
+    `node_cap` and may raise SizeExceeded; none of them builds its hom
+    matrix `dab.cat`.
     """
 
     wa: CocompleteWitness
@@ -228,16 +231,6 @@ class TensorProduct:
     def q_mapping(self) -> tuple[int, ...]:
         """Dab index -> carrier index, the reflector."""
         return tuple(self.reflect(xi) for xi in self.dab.vectors)
-
-    @cached_property
-    def j(self) -> VFunctor:
-        """The inclusion carrier -> D(A (x) B); materializes dab.cat."""
-        return VFunctor(self.carrier, self.dab.cat, self.ideal_index)
-
-    @cached_property
-    def q(self) -> VFunctor:
-        """The reflector D(A (x) B) -> carrier; materializes dab.cat."""
-        return VFunctor(self.dab.cat, self.carrier, self.q_mapping)
 
     @cached_property
     def witness(self) -> CocompleteWitness | None:
@@ -292,7 +285,6 @@ def build_tensor_product(
         wa = _witness_for(a, "left factor")
     if wb is None:
         wb = _witness_for(b, "right factor")
-    q = a.quantale
     ab = tensor_vcat(a, b)
     nb = len(b)
     ideal_vectors = tuple(
@@ -304,14 +296,7 @@ def build_tensor_product(
     for xi in ideal_vectors:
         if not is_g_ideal(wa, wb, xi):
             raise AssertionError("Galois image is not an ideal")
-    carrier = VCategory(
-        q,
-        tuple(vector_name(ab, v) for v in ideal_vectors),
-        tuple(
-            tuple(presheaf_hom(q, u, w) for w in ideal_vectors)
-            for u in ideal_vectors
-        ),
-    )
+    carrier = presheaf_subcategory(ab, ideal_vectors)
     return TensorProduct(wa, wb, ab, ideal_vectors, carrier, node_cap)
 
 
@@ -466,10 +451,4 @@ def star_autonomy_check(
         if m not in index2:
             return False
         ev.append(index2[m])
-    if len(set(ev)) != len(a):
-        return False
-    for x in range(len(a)):
-        for y in range(len(a)):
-            if a.hom[x][y] != a2.hom[ev[x]][ev[y]]:
-                return False
-    return True
+    return len(set(ev)) == len(a) and a.hom == full_subcategory(a2, ev).hom

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
-from .presheaf import enumerate_presheaves
+from .errors import ParseError, SizeExceeded
+from .presheaf import DEFAULT_NODE_CAP, enumerate_presheaves
 from .quantale import BUILTIN_NAMES, Quantale, builtin, validate_quantale
 from .vcat import (
     VCategory,
@@ -212,8 +212,8 @@ def _fresh(ws: Workspace, kind: str, name: str, no: int):
         raise ParseError(no, f"duplicate {kind} name {name!r}")
 
 
-def _derived_vcat(ws: Workspace, no: int, name: str, toks):
-    """`vcategory N = <constructor> args` forms."""
+def _derived_vcat(ws: Workspace, no: int, name: str, toks, node_cap, obj_cap):
+    """`vcategory N = <constructor> args` forms; `obj_cap` None is no cap."""
     kind = toks[0]
 
     def vcat(arg):
@@ -241,13 +241,22 @@ def _derived_vcat(ws: Workspace, no: int, name: str, toks):
         ws.vcats[name] = discrete(ws.quantales[toks[1]], toks[2:])
         ws.vcat_quantale[name] = toks[1]
     elif kind == "presheaves" and len(toks) == 2:
-        ws.vcats[name] = enumerate_presheaves(vcat(toks[1])).cat
+        dx = enumerate_presheaves(vcat(toks[1]), node_cap)
+        if obj_cap is not None and len(dx) > obj_cap:
+            raise SizeExceeded(
+                f"vcategory {name} has {len(dx)} objects (cap {obj_cap})",
+                estimate=len(dx),
+            )
+        ws.vcats[name] = dx.cat
         ws.vcat_quantale[name] = qname_of(toks[1])
     else:
         raise ParseError(no, f"bad vcategory constructor {' '.join(toks)!r}")
 
 
-def parse_text(text: str, ws: Workspace | None = None) -> Workspace:
+def parse_text(
+    text: str, ws: Workspace | None = None, node_cap=DEFAULT_NODE_CAP, obj_cap=None
+) -> Workspace:
+    """Parse one file into `ws`; `presheaves X` is bounded by the two caps."""
     ws = ws or Workspace()
     block = None
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -273,7 +282,7 @@ def parse_text(text: str, ws: Workspace | None = None) -> Workspace:
             block = None
             if len(toks) >= 4 and toks[2] == "=":
                 _fresh(ws, "vcategory", toks[1], no)
-                _derived_vcat(ws, no, toks[1], toks[3:])
+                _derived_vcat(ws, no, toks[1], toks[3:], node_cap, obj_cap)
             elif len(toks) == 4 and toks[2] == "over":
                 _fresh(ws, "vcategory", toks[1], no)
                 if toks[3] not in ws.quantales:
@@ -298,11 +307,13 @@ def parse_text(text: str, ws: Workspace | None = None) -> Workspace:
     return ws
 
 
-def parse_files(paths, ws: Workspace | None = None) -> Workspace:
+def parse_files(
+    paths, ws: Workspace | None = None, node_cap=DEFAULT_NODE_CAP, obj_cap=None
+) -> Workspace:
     ws = ws or Workspace()
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            parse_text(fh.read(), ws)
+            parse_text(fh.read(), ws, node_cap, obj_cap)
     return ws
 
 

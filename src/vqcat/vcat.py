@@ -78,7 +78,8 @@ def row_object(x: VCategory, row):
 
     Every universal construction in V-Sup is this lookup: the supremum, the
     tensor, the join and the reflector are the objects representing a given
-    hom row.  On a separated category the object is unique.
+    hom row.  On a separated category the object is unique.  In D(X) use
+    `PresheafCategory.row_object`, which needs no hom matrix.
     """
     try:
         return x.hom.index(tuple(row))

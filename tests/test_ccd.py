@@ -11,28 +11,22 @@ from vqcat.ccd import (
     is_nuclear,
     totally_below,
 )
-from vqcat.cocomplete import check_cocomplete
+from vqcat.cocomplete import check_cocomplete, is_cocontinuous
+from vqcat.dist import identity_functor
 from vqcat.errors import NotCCD
-from vqcat.presheaf import enumerate_presheaves, presheaf_hom, yoneda, D_on_functor
+from vqcat.presheaf import (
+    D_on_functor,
+    PresheafCategory,
+    cauchy_completion,
+    enumerate_presheaves,
+    presheaf_hom,
+    yoneda,
+)
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.tensorprod import build_tensor_product, reflector_q
-from vqcat.vcat import opposite, quantale_as_vcategory, row_object, validate_vcategory
+from vqcat.vcat import opposite, quantale_as_vcategory, row_object
 
-
-def diamond_m3(two):
-    """Bottom, three incomparable middles, top: the smallest non-distributive
-    modular lattice, viewed as a category over the Boolean quantale."""
-    names = ("bot", "a", "b", "c", "top")
-    le = {
-        (i, j)
-        for i in range(5)
-        for j in range(5)
-        if i == j or i == 0 or j == 4
-    }
-    hom = tuple(
-        tuple(1 if (i, j) in le else 0 for j in range(5)) for i in range(5)
-    )
-    return validate_vcategory(two, names, hom)
+from categories import NOT_CCD, ORACLE_CATEGORIES, diamond_m3, oracle_category
 
 
 def test_quantales_are_ccd():
@@ -122,39 +116,6 @@ def test_ccd_closure_chain2(chain2):
     assert ccd_closure_check(chain2, chain2)
 
 
-def _poset(names, le):
-    two = builtin("two")
-    n = len(names)
-    return validate_vcategory(
-        two, names, tuple(tuple(int(le(i, j)) for j in range(n)) for i in range(n))
-    )
-
-
-def oracle_category(name):
-    """V over a builtin (`V-<name>`), the chains, M3, the pentagon N5, and
-    H2: x0 <= x1 over heyting3 with X(x1, x0) = a, cocomplete but not ccd."""
-    if name.startswith("V-"):
-        return quantale_as_vcategory(builtin(name[2:]))
-    if name == "chain2":
-        return _poset(("x0", "x1"), lambda i, j: i <= j)
-    if name == "chain3":
-        return _poset(("x0", "x1", "x2"), lambda i, j: i <= j)
-    if name == "M3":
-        return diamond_m3(builtin("two"))
-    if name == "H2":
-        return validate_vcategory(builtin("heyting3"), ("x0", "x1"), ((2, 1), (2, 2)))
-    # N5: bot < a < b < top and bot < c < top
-    below = {(0, 1), (1, 2), (0, 2), (0, 3)}
-    return _poset(
-        ("bot", "a", "b", "c", "top"),
-        lambda i, j: i == j or i == 0 or j == 4 or (i, j) in below,
-    )
-
-
-ORACLE_CATEGORIES = [f"V-{n}" for n in BUILTIN_NAMES] + ["chain2", "chain3", "M3", "N5", "H2"]
-NOT_CCD = ("M3", "N5", "H2")
-
-
 def search_totally_below(wa):
     """Per object a, the first presheaf t with DA(t, psi) = A(a, sup psi) for
     every psi, or None: the per-object search over D(A), with no hom matrix."""
@@ -202,11 +163,9 @@ def test_totally_below_row_lookup_matches_search(name):
     x = oracle_category(name)
     w = check_cocomplete(x)
     found = search_totally_below(w)
-    lookup = [
-        row_object(w.dx.cat, tuple(x.hom[a][s] for s in w.sup_index))
-        for a in range(len(x))
-    ]
-    assert lookup == found
+    rows = [tuple(x.hom[a][s] for s in w.sup_index) for a in range(len(x))]
+    assert [w.dx.row_object(row) for row in rows] == found
+    assert [row_object(w.dx.cat, row) for row in rows] == found
     if None in found:
         with pytest.raises(NotCCD) as exc:
             totally_below(w)
@@ -223,11 +182,50 @@ def test_reflector_left_adjoint_row_lookup_matches_search(name):
     x = oracle_category(name)
     t = build_tensor_product(x, x)
     found = search_reflector_left_adjoint(t)
-    dcat = t.dab.cat
-    lookup = [
-        row_object(dcat, tuple(hk[r] for r in t.q_mapping)) for hk in t.carrier.hom
-    ]
-    assert lookup == found
+    rows = [tuple(hk[r] for r in t.q_mapping) for hk in t.carrier.hom]
+    assert [t.dab.row_object(row) for row in rows] == found
+    assert [row_object(t.dab.cat, row) for row in rows] == found
     assert (name == "H2") == (None in found)
     if is_ccd(x):
         assert ccd_closure_check(x, x)
+
+
+@pytest.mark.parametrize("name", ORACLE_CATEGORIES)
+def test_presheaf_row_object_matches_matrix_lookup(name):
+    # every hom row of D(X), and every row one entry away from one
+    dx = enumerate_presheaves(oracle_category(name))
+    dcat = dx.cat
+    n = dx.base.quantale.n
+    for k, row in enumerate(dcat.hom):
+        assert dx.row_object(row) == k
+        for p in range(len(row)):
+            for v in range(n):
+                other = row[:p] + (v,) + row[p + 1 :]
+                assert dx.row_object(other) == row_object(dcat, other)
+
+
+DECISIONS = {
+    "totally_below": lambda x: is_ccd(x, check_cocomplete(x)),
+    "ccd_closure_check": lambda x: ccd_closure_check(x, x),
+    "cauchy_completion": lambda x: cauchy_completion(x, enumerate_presheaves(x)),
+    "is_cocontinuous": lambda x: is_cocontinuous(identity_functor(x), check_cocomplete(x)),
+    "build_tensor_product": lambda x: build_tensor_product(x, x).carrier,
+}
+
+
+@pytest.mark.parametrize(
+    "decision, name",
+    [
+        (d, n)
+        for d in DECISIONS
+        for n in ("chain3", "V-lukasiewicz3", "H2")
+        if not (d == "ccd_closure_check" and n in NOT_CCD)
+    ],
+)
+def test_decision_builds_no_presheaf_matrix(monkeypatch, decision, name):
+    def refuse(pc):
+        raise AssertionError("the hom matrix of a presheaf category was built")
+
+    x = oracle_category(name)
+    monkeypatch.setattr(PresheafCategory, "cat", property(refuse))
+    DECISIONS[decision](x)

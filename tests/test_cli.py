@@ -4,6 +4,7 @@ import pytest
 
 from vqcat.cli import main
 from vqcat.corpus import data_text
+from vqcat.presheaf import PresheafCategory
 
 CHAIN2 = """
 quantale two builtin two
@@ -178,6 +179,39 @@ def test_non_separated_exit_codes(tmp_path, capsys, argv, code):
     assert main([a if a != "FILE" else str(p) for a in argv] + [str(p)]) == code
     out, err = capsys.readouterr()
     if code == 2:
-        assert out == "vcategory S: not cocomplete (cocompleteness requires a separated category)\n"
+        assert out == "vcategory S: not cocomplete (not separated: x0 ~ x1)\n"
     else:
         assert err.startswith("error: ") and "separated" in err
+
+
+def _presheaves_file(tmp_path, n):
+    p = tmp_path / "p.vcat"
+    p.write_text(
+        "quantale two builtin two\n"
+        "vcategory C = discrete two " + " ".join(f"c{i}" for i in range(n)) + "\n"
+        "vcategory P = presheaves C\n",
+        encoding="utf-8",
+    )
+    return str(p)
+
+
+def test_presheaves_constructor_obeys_node_cap(tmp_path, capsys):
+    # D(C) of a 10-object discrete C needs 2,046 search nodes
+    assert main(["vcat", "validate", "--caps", "8,3,1000", _presheaves_file(tmp_path, 10)]) == 3
+    assert "presheaf enumeration exceeded 1000 nodes" in capsys.readouterr().err
+
+
+def test_presheaves_constructor_obeys_object_cap(tmp_path, capsys, monkeypatch):
+    def refuse(pc):
+        raise AssertionError("the hom matrix was built before the object cap")
+
+    path = _presheaves_file(tmp_path, 10)
+    monkeypatch.setattr(PresheafCategory, "cat", property(refuse))
+    assert main(["vcat", "validate", "--caps", "8,3,1000000", path]) == 3
+    assert "vcategory P has 1024 objects (cap 3)" in capsys.readouterr().err
+
+
+def test_presheaves_constructor_within_caps(tmp_path, capsys):
+    assert main(["vcat", "validate", "--caps", "8,8,1000", _presheaves_file(tmp_path, 3)]) == 0
+    assert "vcategory P: valid (8 objects)" in capsys.readouterr().out
+

@@ -1,5 +1,7 @@
 """Suprema, tensors and joins as representers, colimits, adjoints."""
 
+import itertools
+
 import pytest
 
 from vqcat.cocomplete import (
@@ -10,6 +12,7 @@ from vqcat.cocomplete import (
     right_adjoint,
     sup_join_tensor,
     sup_of,
+    sup_target,
     tensor_obj,
     try_cocomplete,
     weighted_colimit,
@@ -25,14 +28,17 @@ from vqcat.dist import (
     validate_functor,
 )
 from vqcat.errors import NoSuchColimit, NotCocomplete, NotSeparated
-from vqcat.presheaf import enumerate_presheaves, yoneda
+from vqcat.presheaf import apply_D, enumerate_presheaves, yoneda
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.vcat import (
     discrete,
+    opposite,
     quantale_as_vcategory,
     tensor_vcat,
     validate_vcategory,
 )
+
+from categories import ORACLE_CATEGORIES, oracle_category
 
 
 def test_quantale_is_cocomplete_with_join_tensor_sup():
@@ -68,8 +74,10 @@ def test_sup_of_bottom_presheaf(chain2):
 
 def test_not_separated_rejected(two):
     x = validate_vcategory(two, ("p", "q"), ((1, 1), (1, 1)))
-    with pytest.raises(NotSeparated):
+    with pytest.raises(NotSeparated) as exc:
         check_cocomplete(x)
+    assert exc.value.witness == (0, 1)
+    assert str(exc.value) == "not separated: p ~ q"
 
 
 def test_sugihara_square_lacks_tensors(sugihara3):
@@ -173,7 +181,7 @@ def test_sup_functor_is_cocontinuous(chain2):
     dcat = w.dx.cat
     wd = check_cocomplete(dcat)
     sup_f = VFunctor(dcat, chain2, w.sup_index)
-    assert is_cocontinuous(sup_f, wd, w)
+    assert is_cocontinuous(sup_f, wd)
 
 
 def test_right_adjoint_of_identity(chain2):
@@ -189,3 +197,42 @@ def test_right_adjoint_of_sup_is_yoneda(chain2):
     g = right_adjoint(sup_f, wd)
     assert g.mapping == yoneda(chain2, w.dx).mapping
     assert is_adjoint_functors(sup_f, g)
+
+
+def test_non_functor_is_not_cocontinuous(chain2):
+    # order-reversing: B(f-, x0) = <0,1> is no presheaf, so no right adjoint
+    w = check_cocomplete(chain2)
+    assert not is_cocontinuous(VFunctor(chain2, chain2, (1, 0)), w)
+
+
+def cocontinuous_by_every_presheaf(f, wa):
+    """The per-presheaf oracle: for every presheaf phi on A, f(sup phi)
+    represents the pushforward f_* phi."""
+    b = f.cod
+    return all(
+        b.hom[f.mapping[wa.sup_index[i]]] == sup_target(b, apply_D(f, phi))
+        for i, phi in enumerate(wa.dx.vectors)
+    )
+
+
+def _small_categories(q):
+    """The oracle categories over q and their opposites."""
+    cats = [x for x in map(oracle_category, ORACLE_CATEGORIES) if x.quantale == q]
+    return cats + [opposite(x) for x in cats]
+
+
+@pytest.mark.parametrize("qname", BUILTIN_NAMES)
+def test_is_cocontinuous_matches_every_presheaf_oracle(qname):
+    # every object map between the small categories over q, non-functors too
+    cats = _small_categories(builtin(qname))
+    verdicts = set()
+    for a in cats:
+        wa = check_cocomplete(a)
+        for b in cats:
+            for m in itertools.product(range(len(b)), repeat=len(a)):
+                f = VFunctor(a, b, m)
+                verdict = is_cocontinuous(f, wa)
+                assert verdict == cocontinuous_by_every_presheaf(f, wa), (a, b, m)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+

@@ -201,7 +201,7 @@ def test_reflector_of_bottom_is_least_ideal(t_chain2):
 def test_reflector_adjoint_to_inclusion(t_chain2):
     # q(theta) <= xi in the carrier iff theta <= xi in D(A(x)B)
     t = t_chain2
-    assert t.q.mapping[t.j.mapping[0]] == 0
+    assert t.q_mapping[t.ideal_index[0]] == 0
     dcat = t.dab.cat
     for di in range(len(t.dab)):
         for k in range(len(t.carrier)):

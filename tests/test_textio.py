@@ -2,7 +2,7 @@
 
 import pytest
 
-from vqcat.errors import ParseError
+from vqcat.errors import ParseError, SizeExceeded
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.textio import (
     parse_files,
@@ -52,6 +52,15 @@ vcategory P = presheaves C2
     assert len(ws.vcats["VV"]) == 4
     assert ws.vcats["Cop"].hom == ((1, 0), (1, 1))
     assert len(ws.vcats["P"]) == 3
+
+
+def test_presheaves_constructor_caps():
+    text = CHAIN2 + "vcategory P = presheaves C2\n"
+    assert len(parse_text(text, obj_cap=3).vcats["P"]) == 3
+    with pytest.raises(SizeExceeded):
+        parse_text(text, obj_cap=2)
+    with pytest.raises(SizeExceeded):
+        parse_text(text, node_cap=2)
 
 
 def test_distributor_block():
