@@ -2,19 +2,22 @@
 
 A supremum is always the *representer* of the meet formula
 X(sup phi, x) = meet_x' [phi(x'), X(x',x)]; on a separated category it is
-unique when it exists.  Tensors, joins and weighted colimits are found the
-same way, by `row_object`, and a weighted colimit is the supremum of the
-pushforward `apply_D`.  `check_cocomplete` tabulates the supremum for every
-presheaf; `sup_of` finds it for a single vector, which keeps large but
-known-cocomplete codomains (functor categories) usable without enumerating
-their presheaves.  A map is cocontinuous exactly when it has the right
-adjoint g(c) = sup B(f-, c), so `is_cocontinuous` computes g and checks
-the one hom equality B(f-, -) = A(-, g-).
+unique when it exists.  `sup_target` spells that formula out;
+`representer`, `tensor_obj`, `join_obj` and `weighted_colimit` evaluate it
+through the category's bitplane kernel (`VCategory.kernel`), a weighted
+colimit as the supremum of the pushforward `apply_D` without computing the
+pushforward.  `check_cocomplete` tabulates the
+supremum for every presheaf; `sup_of` finds it for a single vector, which
+keeps large but known-cocomplete codomains (functor categories) usable
+without enumerating their presheaves.  A map is cocontinuous exactly when it
+has the right adjoint g(c) = sup B(f-, c), so `is_cocontinuous` computes g
+and checks the one hom equality B(f-, -) = A(-, g-).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dist import Distributor, VFunctor, is_adjoint_functors
 from .errors import NoSuchColimit, NotCocomplete, NotSeparated
@@ -26,7 +29,7 @@ from .presheaf import (
     enumerate_presheaves,
     vector_name,
 )
-from .vcat import VCategory, row_object, separation_witness
+from .vcat import VCategory, separation_witness
 
 
 def sup_target(x: VCategory, values):
@@ -39,8 +42,8 @@ def sup_target(x: VCategory, values):
 
 
 def representer(x: VCategory, values):
-    """Object whose hom row matches the sup target, or None."""
-    return row_object(x, sup_target(x, values))
+    """The first object whose hom row equals `sup_target(x, values)`, or None."""
+    return x.kernel.colimit(range(len(x)), values)
 
 
 def sup_of(x: VCategory, values) -> int:
@@ -65,6 +68,17 @@ class CocompleteWitness:
     def sup_vector(self, values) -> int:
         return self.sup_index[self.dx.index[tuple(values)]]
 
+    @cached_property
+    def support_order(self) -> tuple[int, ...]:
+        """Presheaf indices by ascending support size, ties by index."""
+        bottom = self.base.quantale.bottom
+        return tuple(
+            sorted(
+                range(len(self.dx.vectors)),
+                key=lambda i: (sum(1 for v in self.dx.vectors[i] if v != bottom), i),
+            )
+        )
+
 
 def check_cocomplete(
     x: VCategory, dx: PresheafCategory | None = None, node_cap: int = DEFAULT_NODE_CAP
@@ -80,14 +94,6 @@ def check_cocomplete(
     return CocompleteWitness(x, dx, tuple(sup_of(x, values) for values in dx.vectors))
 
 
-def try_cocomplete(x: VCategory, dx=None, node_cap: int = DEFAULT_NODE_CAP):
-    """(witness, None) on success, (None, failing presheaf) on failure."""
-    try:
-        return check_cocomplete(x, dx, node_cap), None
-    except NotCocomplete as exc:
-        return None, exc.failing
-
-
 def sup_join_tensor(w: CocompleteWitness, values) -> int:
     """sup phi = join_x phi(x) (x) x, the join-of-tensors formula.
 
@@ -99,15 +105,22 @@ def sup_join_tensor(w: CocompleteWitness, values) -> int:
     return join_obj(x, terms)
 
 
+def _weight(x: VCategory, v: int, objs):
+    """The presheaf with value v on `objs` and bottom elsewhere."""
+    values = [x.quantale.bottom] * len(x)
+    for z in objs:
+        values[z] = v
+    return values
+
+
 def tensor_obj(x: VCategory, v: int, z: int) -> int:
     """The tensor v (x) z, representer of [v, X(z,-)]."""
-    q = x.quantale
-    target = tuple(q.res(v, x.hom[z][b]) for b in range(len(x)))
-    b = row_object(x, target)
+    b = x.kernel.colimit((z,), (v,))
     if b is not None:
         return b
+    target = sup_target(x, _weight(x, v, (z,)))
     raise NoSuchColimit(
-        f"no tensor of object {x.objects[z]} by {q.elements[v]}",
+        f"no tensor of object {x.objects[z]} by {x.quantale.elements[v]}",
         weight={"kind": "tensor", "v": v, "z": z, "target": target},
     )
 
@@ -118,12 +131,12 @@ def join_obj(x: VCategory, objs) -> int:
     This is representability, not the order-theoretic lub; the two agree only
     on cotensored categories.
     """
-    q = x.quantale
     objs = tuple(objs)
-    target = tuple(q.meet_of(x.hom[z][b] for z in objs) for b in range(len(x)))
-    b = row_object(x, target)
+    unit = x.quantale.unit
+    b = x.kernel.colimit(objs, (unit,) * len(objs))
     if b is not None:
         return b
+    target = sup_target(x, _weight(x, unit, objs))
     raise NoSuchColimit(
         "family has no representable join",
         weight={"kind": "join", "objs": objs, "target": target},
@@ -131,19 +144,22 @@ def join_obj(x: VCategory, objs) -> int:
 
 
 def weighted_colimit(phi: Distributor, f: VFunctor) -> VFunctor:
-    """colim(phi, f)(x) = sup f_* phi(-, x), for phi: X -|-> Y, f: Y -> Z."""
+    """colim(phi, f)(x) = sup f_* phi(-, x), for phi: X -|-> Y, f: Y -> Z.
+
+    Z(sup f_* psi, -) = meet_y [psi(y), Z(f y, -)] (Yoneda), so the
+    pushforward itself is computed only to report a missing colimit.
+    """
     if phi.cod != f.dom:
         raise ValueError("weight codomain must match the functor domain")
     z = f.cod
-    ny = len(f.dom)
     mapping = []
     for a in range(len(phi.dom)):
-        theta = apply_D(f, tuple(phi.mat[y][a] for y in range(ny)))
-        b = representer(z, theta)
+        column = tuple(row[a] for row in phi.mat)
+        b = z.kernel.colimit(f.mapping, column)
         if b is None:
             raise NoSuchColimit(
                 "weighted colimit does not exist",
-                weight={"kind": "weighted", "x": a, "theta": theta},
+                weight={"kind": "weighted", "x": a, "theta": apply_D(f, column)},
             )
         mapping.append(b)
     return VFunctor(phi.dom, z, tuple(mapping))

@@ -174,9 +174,11 @@ def is_adjoint_pair(phi: Distributor, psi: Distributor) -> bool:
 
 
 def is_adjoint_functors(f: VFunctor, g: VFunctor) -> bool:
-    """f -| g in V-Cat iff f^* = g_*."""
+    """f -| g in V-Cat iff f^* = g_*, i.e. Y(f x, y) = X(x, g y) for all x, y."""
     if f.dom != g.cod or f.cod != g.dom:
         return False
-    _, f_upper = graph(f)
-    g_lower, _ = graph(g)
-    return f_upper.mat == g_lower.mat
+    y_hom = f.cod.hom
+    return all(
+        y_hom[fx] == tuple(x_row[gy] for gy in g.mapping)
+        for fx, x_row in zip(f.mapping, f.dom.hom)
+    )

@@ -271,10 +271,6 @@ def d2(
     return VFunctor(dom, dxy.cat, tuple(mapping))
 
 
-def d2_vector(q: Quantale, phi, psi):
-    return tuple(q.mul(v, w) for v in phi for w in psi)
-
-
 def full_subcategory(x: VCategory, indices) -> VCategory:
     indices = tuple(indices)
     return VCategory(

@@ -125,26 +125,16 @@ def vsup_category(
     return VCategory(cod.quantale, objects, hom), tuple(funs)
 
 
-def _support_order(w: CocompleteWitness):
-    """Presheaf indices by ascending support size: cheap failures first."""
-    q = w.base.quantale
-    return tuple(
-        sorted(
-            range(len(w.dx.vectors)),
-            key=lambda i: (sum(1 for v in w.dx.vectors[i] if v != q.bottom), i),
-        )
-    )
-
-
 def g_ideal_failure(wa: CocompleteWitness, wb: CocompleteWitness, xi):
     """First weight pair (phi, psi) violating the ideal equation, or None.
 
     xi is a value vector on tensor_vcat(A, B), pair (a,b) at index a*|B|+b.
+    Weights are scanned by ascending support size: cheap failures first.
     """
     q = wa.base.quantale
     nb = len(wb.base)
-    order_b = _support_order(wb)
-    for i in _support_order(wa):
+    order_b = wb.support_order
+    for i in wa.support_order:
         phi = wa.dx.vectors[i]
         sa = wa.sup_index[i]
         for j in order_b:

@@ -8,8 +8,10 @@ hom matrix under the declared object order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import QuantaleMismatch, ReflexivityFail, TransitivityFail, VCatError
+from .kernel import SupKernel
 from .quantale import Quantale
 
 
@@ -35,6 +37,11 @@ class VCategory:
             return self.objects.index(name)
         except ValueError:
             raise KeyError(f"unknown object {name!r}") from None
+
+    @cached_property
+    def kernel(self) -> SupKernel:
+        """The supremum kernel, built on the first supremum query and kept."""
+        return SupKernel(self)
 
 
 def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
@@ -76,10 +83,12 @@ def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
 def row_object(x: VCategory, row):
     """The first object b with X(b, -) equal to `row`, or None.
 
-    Every universal construction in V-Sup is this lookup: the supremum, the
+    Every universal construction in V-Sup is such a lookup: the supremum, the
     tensor, the join and the reflector are the objects representing a given
-    hom row.  On a separated category the object is unique.  In D(X) use
-    `PresheafCategory.row_object`, which needs no hom matrix.
+    hom row.  On a separated category the object is unique.  Suprema,
+    tensors and joins look their row up in `VCategory.kernel`, which holds
+    the same rows encoded; in D(X) use `PresheafCategory.row_object`, which
+    needs no hom matrix.
     """
     try:
         return x.hom.index(tuple(row))

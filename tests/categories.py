@@ -1,6 +1,9 @@
 """Small categories shared by the oracle tests: V over each builtin quantale,
-the chains, M3, the pentagon N5, and H2."""
+the chains, M3, the pentagon N5, and H2; and `try_cocomplete`."""
 
+from vqcat.cocomplete import check_cocomplete
+from vqcat.errors import NotCocomplete
+from vqcat.presheaf import DEFAULT_NODE_CAP
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.vcat import quantale_as_vcategory, validate_vcategory
 
@@ -53,3 +56,11 @@ def oracle_category(name):
 
 ORACLE_CATEGORIES = [f"V-{n}" for n in BUILTIN_NAMES] + ["chain2", "chain3", "M3", "N5", "H2"]
 NOT_CCD = ("M3", "N5", "H2")
+
+
+def try_cocomplete(x, dx=None, node_cap=DEFAULT_NODE_CAP):
+    """(witness, None) on success, (None, failing presheaf) on failure."""
+    try:
+        return check_cocomplete(x, dx, node_cap), None
+    except NotCocomplete as exc:
+        return None, exc.failing

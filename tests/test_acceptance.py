@@ -20,7 +20,7 @@ from vqcat.ccd import (
     is_ccd,
     totally_below,
 )
-from vqcat.cocomplete import check_cocomplete, tensor_obj, try_cocomplete
+from vqcat.cocomplete import check_cocomplete, tensor_obj
 from vqcat.dist import (
     VFunctor,
     graph,
@@ -64,6 +64,8 @@ from vqcat.vcat import (
     underlying_order,
     validate_vcategory,
 )
+
+from categories import try_cocomplete
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ from vqcat.cocomplete import (
     sup_of,
     sup_target,
     tensor_obj,
-    try_cocomplete,
     weighted_colimit,
 )
 from vqcat.dist import (
@@ -38,7 +37,7 @@ from vqcat.vcat import (
     validate_vcategory,
 )
 
-from categories import ORACLE_CATEGORIES, oracle_category
+from categories import ORACLE_CATEGORIES, oracle_category, try_cocomplete
 
 
 def test_quantale_is_cocomplete_with_join_tensor_sup():

@@ -1,0 +1,274 @@
+"""The bitplane kernel behind `representer`, `tensor_obj` and `join_obj`,
+against the meet formula `sup_target` and the per-entry formulas."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vqcat import cocomplete
+from vqcat.cocomplete import (
+    check_cocomplete,
+    join_obj,
+    representer,
+    sup_of,
+    sup_target,
+    tensor_obj,
+    weighted_colimit,
+)
+from vqcat.dist import Distributor, VFunctor
+from vqcat.errors import NoSuchColimit, NotCocomplete
+from vqcat.kernel import join_irreducibles
+from vqcat.presheaf import apply_D, enumerate_presheaves
+from vqcat.quantale import BUILTIN_NAMES, builtin, validate_quantale
+from vqcat.tensorprod import build_tensor_product, extend_bimorphism
+from vqcat.vcat import (
+    opposite,
+    quantale_as_vcategory,
+    row_object,
+    tensor_vcat,
+    validate_vcategory,
+)
+
+from categories import ORACLE_CATEGORIES, oracle_category
+
+
+def chain_quantale(n, mul):
+    leq = [[x <= y for y in range(n)] for x in range(n)]
+    mult = [[mul(x, y) for y in range(n)] for x in range(n)]
+    return validate_quantale([f"{x}/{n - 1}" for x in range(n)], leq, mult, n - 1)
+
+
+def lukasiewicz(n):
+    return chain_quantale(n, lambda x, y: max(0, x + y - (n - 1)))
+
+
+def heyting(n):
+    return chain_quantale(n, min)
+
+
+CHAINS = {
+    **{f"luk{n}": lukasiewicz(n) for n in (4, 5, 6)},
+    **{f"heyt{n}": heyting(n) for n in (4, 5, 6)},
+}
+QUANTALES = [builtin(n) for n in BUILTIN_NAMES] + list(CHAINS.values())
+
+# V over the builtins and the longer chains, M3, N5, chain2, chain3 and H2
+FIXED = {
+    **{name: oracle_category(name) for name in ORACLE_CATEGORIES},
+    **{f"V-{name}": quantale_as_vcategory(q) for name, q in CHAINS.items()},
+}
+
+
+def tensor_by_formula(x, v, z):
+    q = x.quantale
+    return row_object(x, tuple(q.res(v, x.hom[z][b]) for b in range(len(x))))
+
+
+def join_by_formula(x, objs):
+    q = x.quantale
+    return row_object(
+        x, tuple(q.meet_of(x.hom[z][b] for z in objs) for b in range(len(x)))
+    )
+
+
+def check_tensors_and_joins(x):
+    q = x.quantale
+    for z in range(len(x)):
+        for v in range(q.n):
+            want = tensor_by_formula(x, v, z)
+            if want is None:
+                with pytest.raises(NoSuchColimit) as exc:
+                    tensor_obj(x, v, z)
+                assert exc.value.weight["target"] == tuple(
+                    q.res(v, x.hom[z][b]) for b in range(len(x))
+                )
+            else:
+                assert tensor_obj(x, v, z) == want
+    for size in range(3):
+        for objs in itertools.product(range(len(x)), repeat=size):
+            want = join_by_formula(x, objs)
+            if want is None:
+                with pytest.raises(NoSuchColimit) as exc:
+                    join_obj(x, objs)
+                assert exc.value.weight["target"] == tuple(
+                    q.meet_of(x.hom[z][b] for z in objs) for b in range(len(x))
+                )
+            else:
+                assert join_obj(x, iter(objs)) == want
+
+
+@pytest.mark.parametrize("q", QUANTALES, ids=lambda q: ",".join(q.elements))
+def test_join_irreducibles_encode_every_element(q):
+    jis = join_irreducibles(q)
+    codes = [frozenset(j for j in jis if q.leq[j][w]) for w in range(q.n)]
+    assert len(set(codes)) == q.n
+    for w, code in enumerate(codes):
+        assert q.join_of(code) == w
+
+
+def test_join_irreducibles_of_known_lattices():
+    assert join_irreducibles(lukasiewicz(6)) == (1, 2, 3, 4, 5)
+    assert join_irreducibles(builtin("two")) == (1,)
+    # the subsets of a 2-set: the two singletons
+    assert join_irreducibles(builtin("powerset_z2")) == (1, 2)
+    assert join_irreducibles(builtin("r422")) == (1, 2)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_kernel_matches_meet_formula_on_every_presheaf(name):
+    for x in (FIXED[name], opposite(FIXED[name])):
+        for phi in enumerate_presheaves(x).vectors:
+            assert representer(x, phi) == row_object(x, sup_target(x, phi))
+        check_tensors_and_joins(x)
+
+
+def closure(q, hom):
+    """The least V-category hom above a matrix with e on the diagonal."""
+    m = len(hom)
+    hom = [
+        [q.join[hom[a][b]][q.unit] if a == b else hom[a][b] for b in range(m)]
+        for a in range(m)
+    ]
+    while True:
+        new = [
+            [q.join_of(q.mul(hom[a][c], hom[c][b]) for c in range(m)) for b in range(m)]
+            for a in range(m)
+        ]
+        if new == hom:
+            return hom
+        hom = new
+
+
+@st.composite
+def categories(draw, q=None):
+    if q is None:
+        q = draw(st.sampled_from(QUANTALES))
+    m = draw(st.integers(1, 4))
+    raw = draw(
+        st.lists(
+            st.lists(st.integers(0, q.n - 1), min_size=m, max_size=m),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    names = [f"x{a}" for a in range(m)]
+    return validate_vcategory(q, names, closure(q, raw))
+
+
+@settings(max_examples=150, deadline=None)
+@given(categories(), st.data())
+def test_kernel_matches_meet_formula_on_random_categories(x, data):
+    q = x.quantale
+    vec = st.lists(st.integers(0, q.n - 1), min_size=len(x), max_size=len(x))
+    for _ in range(5):
+        # any vector, presheaf or not: the formula and the kernel still agree
+        values = data.draw(vec)
+        assert representer(x, values) == row_object(x, sup_target(x, values))
+    check_tensors_and_joins(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_weighted_colimit_is_the_sup_of_the_pushforward(data):
+    # Z(colim, -) = meet_y [phi(y), Z(f y, -)] equals the meet formula of the
+    # pushforward f_* phi, for any object map f and any weight
+    z = data.draw(categories())
+    q = z.quantale
+    y = data.draw(categories(q))
+    x = data.draw(categories(q))
+    f = VFunctor(y, z, tuple(data.draw(st.integers(0, len(z) - 1)) for _ in range(len(y))))
+    entry = st.integers(0, q.n - 1)
+    phi = Distributor(
+        x, y, tuple(tuple(data.draw(entry) for _ in range(len(x))) for _ in range(len(y)))
+    )
+    want = [
+        row_object(z, sup_target(z, apply_D(f, tuple(row[a] for row in phi.mat))))
+        for a in range(len(x))
+    ]
+    if None in want:
+        with pytest.raises(NoSuchColimit) as exc:
+            weighted_colimit(phi, f)
+        a = want.index(None)
+        assert exc.value.weight["x"] == a
+        assert exc.value.weight["theta"] == apply_D(f, tuple(row[a] for row in phi.mat))
+    else:
+        assert weighted_colimit(phi, f).mapping == tuple(want)
+
+
+def test_non_separated_first_object_wins(two):
+    # x0 ~ x1 share a hom row; x2 lies below both
+    x = validate_vcategory(
+        two, ("x0", "x1", "x2"), ((1, 1, 0), (1, 1, 0), (1, 1, 1))
+    )
+    assert representer(x, (1, 1, 1)) == 0
+    assert representer(x, (1, 0, 0)) == 0
+    assert representer(x, (0, 1, 0)) == 0
+    assert representer(x, (0, 0, 0)) == 2
+    assert tensor_obj(x, 1, 1) == 0
+    assert join_obj(x, (1,)) == 0
+    assert join_obj(x, (2, 1)) == 0
+    for phi in itertools.product(range(2), repeat=3):
+        assert representer(x, phi) == row_object(x, sup_target(x, phi))
+
+
+def not_cocomplete(name):
+    if name == "chain2-luk3":
+        # the 2-chain with crisp homs lacks the tensors by the middle value
+        q = builtin("lukasiewicz3")
+        hom = ((q.top, q.top), (q.bottom, q.top))
+        return validate_vcategory(q, ("x0", "x1"), hom)
+    v = quantale_as_vcategory(builtin("sugihara3"))
+    return tensor_vcat(v, v)
+
+
+@pytest.mark.parametrize("name", ["chain2-luk3", "VxV-sugihara3"])
+def test_non_cocomplete_fails_on_the_first_presheaf(name):
+    x = not_cocomplete(name)
+    dx = enumerate_presheaves(x)
+    missing = [phi for phi in dx.vectors if row_object(x, sup_target(x, phi)) is None]
+    assert missing
+    with pytest.raises(NotCocomplete) as exc:
+        check_cocomplete(x, dx)
+    assert exc.value.failing.values == missing[0]
+    for phi in missing:
+        with pytest.raises(NotCocomplete) as exc:
+            sup_of(x, phi)
+        assert exc.value.failing.values == phi
+    check_tensors_and_joins(x)
+
+
+def test_sup_target_is_off_the_success_path(chain2, v_luk, monkeypatch):
+    calls = []
+
+    def counting(x, values):
+        calls.append(values)
+        return sup_target(x, values)
+
+    monkeypatch.setattr(cocomplete, "sup_target", counting)
+    for x in (chain2, v_luk, oracle_category("M3")):
+        w = check_cocomplete(x)
+        assert len(set(w.sup_index)) == len(x)
+        for z in range(len(x)):
+            tensor_obj(x, x.quantale.unit, z)
+        join_obj(x, range(len(x)))
+    t = build_tensor_product(chain2, chain2)
+    assert extend_bimorphism(t, t.i).mapping == tuple(range(len(t.carrier)))
+    assert calls == []
+    # a failure still reports the readable target
+    vv = not_cocomplete("VxV-sugihara3")
+    with pytest.raises(NoSuchColimit):
+        for z in range(len(vv)):
+            tensor_obj(vv, vv.quantale.top, z)
+    assert len(calls) == 1
+
+
+def test_kernel_is_built_once_per_category(chain2):
+    x = validate_vcategory(chain2.quantale, chain2.objects, chain2.hom)
+    assert "kernel" not in vars(x)
+    check_cocomplete(x)
+    kernel = vars(x)["kernel"]
+    tensor_obj(x, 1, 0)
+    join_obj(x, (0, 1))
+    assert vars(x)["kernel"] is kernel

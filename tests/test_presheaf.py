@@ -18,7 +18,6 @@ from vqcat.presheaf import (
     cauchy_completion,
     d0,
     d2,
-    d2_vector,
     dist_to_functor,
     enumerate_presheaves,
     functor_to_dist,
@@ -180,7 +179,13 @@ def test_d0_picks_unit(luk3):
 
 
 def test_d2_vector(luk3):
-    assert d2_vector(luk3, (1, 2), (0, 1)) == (
+    # d2(phi, psi) is the vector (phi(x) * psi(y)) in pair order
+    x = discrete(luk3, ("p", "q"))
+    dx = enumerate_presheaves(x)
+    dxy = enumerate_presheaves(tensor_vcat(x, x))
+    f = d2(dx, dx, dxy)
+    phi, psi = dx.index[(1, 2)], dx.index[(0, 1)]
+    assert dxy.vectors[f.mapping[phi * len(dx) + psi]] == (
         luk3.mul(1, 0),
         luk3.mul(1, 1),
         luk3.mul(2, 0),

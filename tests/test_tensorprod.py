@@ -9,7 +9,7 @@ from vqcat.ccd import dual_object
 from vqcat.cocomplete import check_cocomplete, join_obj, tensor_obj
 from vqcat.dist import VFunctor, functor_hom
 from vqcat.errors import NotCocompleteInput, SizeExceeded
-from vqcat.presheaf import apply_D, d2_vector, enumerate_presheaves
+from vqcat.presheaf import apply_D, enumerate_presheaves
 from vqcat.quantale import builtin
 from vqcat.tensorprod import (
     build_tensor_product,
@@ -30,6 +30,11 @@ from vqcat.vcat import (
     tensor_vcat,
     validate_vcategory,
 )
+
+
+def d2_vector(q, phi, psi):
+    """(phi(a) * psi(b)), pair (a,b) at index a*|B|+b."""
+    return tuple(q.mul(v, w) for v in phi for w in psi)
 
 
 def naive_is_g_ideal(wa, wb, xi):
