@@ -34,20 +34,17 @@ class TotallyBelowWitness:
 
 
 def totally_below(wa: CocompleteWitness) -> TotallyBelowWitness:
-    """Left adjoint of sup, one row lookup in D(A) per object.
-
-    t(a) is the unique presheaf with DA(t a, psi) = A(a, sup psi) for every
-    psi: the object of D(A) whose hom row is (A(a, sup psi))_psi.  That row
-    equality is the adjunction t -| sup itself.  Raises NotCCD with the first
-    object that has none.
+    """Left adjoint of sup: t(a) = meet_psi [A(a, sup psi), psi], the one
+    candidate, is t(a) iff sup t(a) = a.  Raises NotCCD with the first
+    object that fails.
     """
     a_cat = wa.base
     t = []
     for a in range(len(a_cat)):
-        found = wa.dx.row_object(a_cat.hom[a][s] for s in wa.sup_index)
-        if found is None:
+        down = wa.dx.left_adjoint_candidate(a_cat.hom[a][s] for s in wa.sup_index)
+        if wa.sup_index[down] != a:
             raise NotCCD("no totally-below presheaf", obj=a_cat.objects[a])
-        t.append(found)
+        t.append(down)
     return TotallyBelowWitness(wa, tuple(t))
 
 
@@ -178,9 +175,8 @@ def ccd_closure_check(
     t = build_tensor_product(a, b, wa, wb, node_cap=node_cap)
     if t.witness is None or not is_ccd(t.carrier, t.witness):
         return False
-    # left adjoint of the reflector: for each k, the presheaf whose hom row
-    # in D(A (x) B) is (carrier(k, q xi))_xi
+    # the reflector's left adjoint at k: its one candidate must reflect to k
     return all(
-        t.dab.row_object(hk[r] for r in t.q_mapping) is not None
-        for hk in t.carrier.hom
+        t.q_mapping[t.dab.left_adjoint_candidate(hk[r] for r in t.q_mapping)] == k
+        for k, hk in enumerate(t.carrier.hom)
     )

@@ -62,9 +62,6 @@ class CocompleteWitness:
     dx: PresheafCategory
     sup_index: tuple[int, ...]  # D(base) object index -> base object index
 
-    def sup(self, i: int) -> int:
-        return self.sup_index[i]
-
     def sup_vector(self, values) -> int:
         return self.sup_index[self.dx.index[tuple(values)]]
 
@@ -92,17 +89,6 @@ def check_cocomplete(
     if dx is None:
         dx = enumerate_presheaves(x, node_cap)
     return CocompleteWitness(x, dx, tuple(sup_of(x, values) for values in dx.vectors))
-
-
-def sup_join_tensor(w: CocompleteWitness, values) -> int:
-    """sup phi = join_x phi(x) (x) x, the join-of-tensors formula.
-
-    Requires every tensor and the final join to be representable; used as a
-    cross-check of the tabulated sup.
-    """
-    x = w.base
-    terms = [tensor_obj(x, values[a], a) for a in range(len(x))]
-    return join_obj(x, terms)
 
 
 def _weight(x: VCategory, v: int, objs):

@@ -32,9 +32,8 @@ class PresheafCategory:
     Objects are ordered lexicographically by value-index vector, so indices
     are reproducible across runs; `index` maps a vector back to its object
     index.  The full hom matrix (`cat`) is quadratic in a count that can run
-    to thousands, so it is only materialized on first use; `hom_ij` computes
-    single entries and `row_object` finds the object with a given hom row
-    without it.
+    to thousands, so it is only materialized on first use; no decision reads
+    it.
     """
 
     def __init__(self, base: VCategory, vectors):
@@ -46,45 +45,27 @@ class PresheafCategory:
     def __len__(self):
         return len(self.vectors)
 
-    def hom_ij(self, i: int, j: int) -> int:
-        return presheaf_hom(self.base.quantale, self.vectors[i], self.vectors[j])
-
     @property
     def cat(self) -> VCategory:
         if self._cat is None:
             self._cat = presheaf_subcategory(self.base, self.vectors)
         return self._cat
 
-    def row_object(self, row):
-        """The index of the presheaf l with DX(l, psi_k) = row_k for every k,
-        or None.
+    def left_adjoint_candidate(self, row):
+        """The index of l = meet_k [row_k, psi_k], the one presheaf that can
+        have DX(l, psi_k) = row_k for every k: any such presheaf lies below
+        each cotensor, and l's row is at least `row`.
 
-        row_k * l <= psi_k says that l lies below the cotensor [row_k, psi_k],
-        so l lies below their pointwise meet m.  Then m's row is at least
-        `row` (m is below each cotensor) and at most l's (DX(-, psi) reverses
-        order), so l = m, as D(X) is separated.  m is the one candidate, and
-        one row check decides.
+        If row_k = C(c, F psi_k) for a V-functor F with F G = 1 for a right
+        adjoint G (sup, the reflector), F has a left adjoint at c exactly
+        when F l = c, so the caller decides by one evaluation.
         """
         q = self.base.quantale
-        row = tuple(row)
         cand = [q.top] * len(self.base)
-        for v, psi in zip(row, self.vectors, strict=True):
+        for v, psi in zip(tuple(row), self.vectors, strict=True):
             for x, w in enumerate(psi):
                 cand[x] = q.meet[cand[x]][q.res(v, w)]
-        cand = tuple(cand)
-        if all(presheaf_hom(q, cand, psi) == v for v, psi in zip(row, self.vectors)):
-            return self.index[cand]
-        return None
-
-
-def is_presheaf_vector(x: VCategory, values) -> bool:
-    q = x.quantale
-    m = len(x)
-    return all(
-        q.le(q.mul(x.hom[a][b], values[b]), values[a])
-        for a in range(m)
-        for b in range(m)
-    )
+        return self.index[tuple(cand)]
 
 
 def presheaf_hom(q: Quantale, phi, psi) -> int:

@@ -86,9 +86,8 @@ def row_object(x: VCategory, row):
     Every universal construction in V-Sup is such a lookup: the supremum, the
     tensor, the join and the reflector are the objects representing a given
     hom row.  On a separated category the object is unique.  Suprema,
-    tensors and joins look their row up in `VCategory.kernel`, which holds
-    the same rows encoded; in D(X) use `PresheafCategory.row_object`, which
-    needs no hom matrix.
+    tensors, joins and the reflector look their row up in `VCategory.kernel`,
+    which holds the same rows encoded; `TensorProduct.i` calls this directly.
     """
     try:
         return x.hom.index(tuple(row))

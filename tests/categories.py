@@ -1,11 +1,29 @@
 """Small categories shared by the oracle tests: V over each builtin quantale,
-the chains, M3, the pentagon N5, and H2; and `try_cocomplete`."""
+the chains, M3, the pentagon N5, and H2; the Lukasiewicz and Heyting
+chain quantales; and the test-only helpers
+`try_cocomplete`, `is_presheaf_vector` and `hom_ij`."""
 
 from vqcat.cocomplete import check_cocomplete
 from vqcat.errors import NotCocomplete
-from vqcat.presheaf import DEFAULT_NODE_CAP
-from vqcat.quantale import BUILTIN_NAMES, builtin
+from vqcat.presheaf import DEFAULT_NODE_CAP, presheaf_hom
+from vqcat.quantale import BUILTIN_NAMES, builtin, validate_quantale
 from vqcat.vcat import quantale_as_vcategory, validate_vcategory
+
+
+def chain_quantale(n, mul):
+    leq = [[x <= y for y in range(n)] for x in range(n)]
+    mult = [[mul(x, y) for y in range(n)] for x in range(n)]
+    return validate_quantale([f"{x}/{n - 1}" for x in range(n)], leq, mult, n - 1)
+
+
+def lukasiewicz(n):
+    """The n-chain with x*y = max(0, x+y-top)."""
+    return chain_quantale(n, lambda x, y: max(0, x + y - (n - 1)))
+
+
+def heyting(n):
+    """The n-chain with meet as tensor."""
+    return chain_quantale(n, min)
 
 
 def poset(names, le):
@@ -64,3 +82,19 @@ def try_cocomplete(x, dx=None, node_cap=DEFAULT_NODE_CAP):
         return check_cocomplete(x, dx, node_cap), None
     except NotCocomplete as exc:
         return None, exc.failing
+
+
+def is_presheaf_vector(x, values) -> bool:
+    """The downset condition X(a, b) * values(b) <= values(a), pair by pair."""
+    q = x.quantale
+    m = len(x)
+    return all(
+        q.le(q.mul(x.hom[a][b], values[b]), values[a])
+        for a in range(m)
+        for b in range(m)
+    )
+
+
+def hom_ij(dx, i, j) -> int:
+    """DX(phi_i, phi_j), one entry of D(X)'s hom matrix."""
+    return presheaf_hom(dx.base.quantale, dx.vectors[i], dx.vectors[j])

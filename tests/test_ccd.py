@@ -1,5 +1,7 @@
 """Complete distributivity, duals, nuclearity, and their equivalence."""
 
+import sys
+
 import pytest
 
 from vqcat.ccd import (
@@ -23,10 +25,10 @@ from vqcat.presheaf import (
     yoneda,
 )
 from vqcat.quantale import BUILTIN_NAMES, builtin
-from vqcat.tensorprod import build_tensor_product, reflector_q
+from vqcat.tensorprod import build_tensor_product, reflect_vector, reflector_q
 from vqcat.vcat import opposite, quantale_as_vcategory, row_object
 
-from categories import NOT_CCD, ORACLE_CATEGORIES, diamond_m3, oracle_category
+from categories import NOT_CCD, ORACLE_CATEGORIES, diamond_m3, hom_ij, oracle_category
 
 
 def test_quantales_are_ccd():
@@ -41,7 +43,7 @@ def test_totally_below_is_adjoint_to_sup(v_luk):
     # DA(t a, phi) = A(a, sup phi), elementwise
     for a in range(len(v_luk)):
         for k in range(len(w.dx)):
-            assert w.dx.hom_ij(t.t[a], k) == v_luk.hom[a][w.sup(k)]
+            assert hom_ij(w.dx, t.t[a], k) == v_luk.hom[a][w.sup_index[k]]
 
 
 def test_free_category_totally_below_is_D_of_yoneda(chain2):
@@ -160,12 +162,15 @@ def search_reflector_left_adjoint(t):
 
 @pytest.mark.parametrize("name", ORACLE_CATEGORIES)
 def test_totally_below_row_lookup_matches_search(name):
+    # t(a) exists iff sup of its one candidate is a, against the search and
+    # the row lookup in D(A)'s hom matrix
     x = oracle_category(name)
     w = check_cocomplete(x)
     found = search_totally_below(w)
     rows = [tuple(x.hom[a][s] for s in w.sup_index) for a in range(len(x))]
-    assert [w.dx.row_object(row) for row in rows] == found
     assert [row_object(w.dx.cat, row) for row in rows] == found
+    cands = [w.dx.left_adjoint_candidate(row) for row in rows]
+    assert [c if w.sup_index[c] == a else None for a, c in enumerate(cands)] == found
     if None in found:
         with pytest.raises(NotCCD) as exc:
             totally_below(w)
@@ -181,10 +186,16 @@ def test_totally_below_row_lookup_matches_search(name):
 def test_reflector_left_adjoint_row_lookup_matches_search(name):
     x = oracle_category(name)
     t = build_tensor_product(x, x)
+    q = x.quantale
+    # the reflector against the meet of the majorants
+    assert [t.ideal_vectors[k] for k in t.q_mapping] == [
+        reflect_vector(q, t.ideal_vectors, xi) for xi in t.dab.vectors
+    ]
     found = search_reflector_left_adjoint(t)
     rows = [tuple(hk[r] for r in t.q_mapping) for hk in t.carrier.hom]
-    assert [t.dab.row_object(row) for row in rows] == found
     assert [row_object(t.dab.cat, row) for row in rows] == found
+    cands = [t.dab.left_adjoint_candidate(row) for row in rows]
+    assert [c if t.q_mapping[c] == k else None for k, c in enumerate(cands)] == found
     assert (name == "H2") == (None in found)
     if is_ccd(x):
         assert ccd_closure_check(x, x)
@@ -192,16 +203,17 @@ def test_reflector_left_adjoint_row_lookup_matches_search(name):
 
 @pytest.mark.parametrize("name", ORACLE_CATEGORIES)
 def test_presheaf_row_object_matches_matrix_lookup(name):
-    # every hom row of D(X), and every row one entry away from one
+    # the candidate of a hom row of D(X) is its object, and a row one entry
+    # away belongs to no object or to its candidate
     dx = enumerate_presheaves(oracle_category(name))
     dcat = dx.cat
     n = dx.base.quantale.n
     for k, row in enumerate(dcat.hom):
-        assert dx.row_object(row) == k
+        assert dx.left_adjoint_candidate(row) == k
         for p in range(len(row)):
             for v in range(n):
                 other = row[:p] + (v,) + row[p + 1 :]
-                assert dx.row_object(other) == row_object(dcat, other)
+                assert row_object(dcat, other) in (None, dx.left_adjoint_candidate(other))
 
 
 DECISIONS = {
@@ -229,3 +241,33 @@ def test_decision_builds_no_presheaf_matrix(monkeypatch, decision, name):
     x = oracle_category(name)
     monkeypatch.setattr(PresheafCategory, "cat", property(refuse))
     DECISIONS[decision](x)
+
+
+@pytest.mark.parametrize("name", ["chain3", "V-lukasiewicz3", "H2"])
+def test_left_adjoints_make_no_presheaf_hom_call(monkeypatch, name):
+    # totally_below, the reflector and the reflector's left adjoint are one
+    # candidate and one evaluation each; only the carrier's hom matrix, built
+    # by build_tensor_product, still calls presheaf_hom
+    x = oracle_category(name)
+    w = check_cocomplete(x)
+    t = build_tensor_product(x, x)
+    calls = []
+
+    def counting(q, phi, psi):
+        calls.append(1)
+        return presheaf_hom(q, phi, psi)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("vqcat") and getattr(module, "presheaf_hom", None) is presheaf_hom:
+            monkeypatch.setattr(module, "presheaf_hom", counting)
+    if name in NOT_CCD:
+        with pytest.raises(NotCCD):
+            totally_below(w)
+    else:
+        totally_below(w)
+    t.i
+    t.q_mapping
+    assert calls == []
+    if name not in NOT_CCD:
+        assert ccd_closure_check(x, x)
+        assert len(calls) == len(t.carrier) ** 2

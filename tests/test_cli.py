@@ -215,3 +215,36 @@ def test_presheaves_constructor_within_caps(tmp_path, capsys):
     assert main(["vcat", "validate", "--caps", "8,8,1000", _presheaves_file(tmp_path, 3)]) == 0
     assert "vcategory P: valid (8 objects)" in capsys.readouterr().out
 
+
+
+@pytest.fixture()
+def vluk_file(tmp_path):
+    p = tmp_path / "vluk.vcat"
+    p.write_text(data_text("vluk.vcat"), encoding="utf-8")
+    return str(p)
+
+
+def test_universal_codomain_over_another_quantale(chain2_file, vluk_file, capsys):
+    assert main(["tensor", chain2_file, chain2_file, "--check-universal", vluk_file]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "quantale" in err
+
+
+def test_universal_codomain_obeys_object_cap(chain2_file, tmp_path, capsys):
+    p = tmp_path / "chain10.vcat"
+    names = [f"c{i}" for i in range(10)]
+    p.write_text(
+        "quantale two builtin two\nvcategory C over two\n  objects " + " ".join(names) + "\n"
+        + "".join(f"  hom {a} {b} = 1\n" for i, a in enumerate(names) for b in names[i + 1 :]),
+        encoding="utf-8",
+    )
+    assert main(["tensor", chain2_file, chain2_file, "--check-universal", str(p)]) == 3
+    assert "vcategory C has 10 objects (cap 8)" in capsys.readouterr().err
+
+
+def test_tensor_factor_check_obeys_node_cap(vluk_file, capsys):
+    # the factors' presheaf enumeration is capped, as in `vq check cocomplete`
+    assert main(["check", "cocomplete", "--caps", "8,8,5", vluk_file]) == 3
+    assert "presheaf enumeration exceeded 5 nodes" in capsys.readouterr().err
+    assert main(["tensor", "--caps", "8,8,5", vluk_file, vluk_file]) == 3
+    assert "presheaf enumeration exceeded 5 nodes" in capsys.readouterr().err

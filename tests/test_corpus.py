@@ -1,5 +1,8 @@
 """The shipped example corpus runs green in-process."""
 
+from pathlib import Path
+
+from vqcat.cli import main
 from vqcat.corpus import DATA_FILES, load, run_corpus
 
 
@@ -20,3 +23,11 @@ def test_text_mode_mentions_every_instance():
     text = "\n".join(lines)
     assert "[theorem.m3-two]" in text
     assert text.endswith("all checks passed")
+
+
+def test_machine_output_matches_golden(capsys):
+    # `vq corpus --machine` must stay byte-identical across refactors;
+    # a change that alters it on purpose regenerates this file and says why
+    golden = (Path(__file__).parent / "corpus_machine.txt").read_bytes()
+    assert main(["corpus", "--machine"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden

@@ -21,7 +21,7 @@ from vqcat.dist import Distributor, VFunctor
 from vqcat.errors import NoSuchColimit, NotCocomplete
 from vqcat.kernel import join_irreducibles
 from vqcat.presheaf import apply_D, enumerate_presheaves
-from vqcat.quantale import BUILTIN_NAMES, builtin, validate_quantale
+from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.tensorprod import build_tensor_product, extend_bimorphism
 from vqcat.vcat import (
     opposite,
@@ -31,21 +31,7 @@ from vqcat.vcat import (
     validate_vcategory,
 )
 
-from categories import ORACLE_CATEGORIES, oracle_category
-
-
-def chain_quantale(n, mul):
-    leq = [[x <= y for y in range(n)] for x in range(n)]
-    mult = [[mul(x, y) for y in range(n)] for x in range(n)]
-    return validate_quantale([f"{x}/{n - 1}" for x in range(n)], leq, mult, n - 1)
-
-
-def lukasiewicz(n):
-    return chain_quantale(n, lambda x, y: max(0, x + y - (n - 1)))
-
-
-def heyting(n):
-    return chain_quantale(n, min)
+from categories import ORACLE_CATEGORIES, heyting, lukasiewicz, oracle_category
 
 
 CHAINS = {

@@ -22,7 +22,6 @@ from vqcat.presheaf import (
     enumerate_presheaves,
     functor_to_dist,
     inverter,
-    is_presheaf_vector,
     mu,
     presheaf_hom,
     yoneda,
@@ -36,6 +35,8 @@ from vqcat.vcat import (
     unit_category,
     validate_vcategory,
 )
+
+from categories import hom_ij, is_presheaf_vector
 
 
 def naive_presheaves(x):
@@ -68,7 +69,7 @@ def test_unit_category_presheaves_are_V(luk3):
     # hom is residuation
     for v in range(luk3.n):
         for w in range(luk3.n):
-            assert dx.hom_ij(dx.index[(v,)], dx.index[(w,)]) == luk3.hom[v][w]
+            assert hom_ij(dx, dx.index[(v,)], dx.index[(w,)]) == luk3.hom[v][w]
 
 
 def test_chain2_has_three_downsets(chain2):
@@ -96,11 +97,11 @@ def test_yoneda_lemma_equality(chain2, v_luk):
         y = yoneda(x, dx)
         for a in range(len(x)):
             for k, phi in enumerate(dx.vectors):
-                assert dx.hom_ij(y.mapping[a], k) == phi[a]
+                assert hom_ij(dx, y.mapping[a], k) == phi[a]
         # fully faithful
         for a in range(len(x)):
             for b in range(len(x)):
-                assert dx.hom_ij(y.mapping[a], y.mapping[b]) == x.hom[a][b]
+                assert hom_ij(dx, y.mapping[a], y.mapping[b]) == x.hom[a][b]
 
 
 def test_identity_dist_classifies_to_yoneda(chain2):
