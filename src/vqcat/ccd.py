@@ -103,7 +103,7 @@ def is_nuclear(
     an isomorphism of the carrier onto H.
     """
     if wa is None:
-        wa = check_cocomplete(x)
+        wa = check_cocomplete(x, node_cap=node_cap)
     dual, funs, wdual = dual_object(wa, node_cap)
     h_cat, h_funs = vsup_category(wa, x, node_cap)
     h_index = {f.mapping: k for k, f in enumerate(h_funs)}
@@ -153,7 +153,7 @@ def check_main_theorem(
 ) -> TheoremReport:
     """Run the two decision procedures independently and compare verdicts."""
     if wa is None:
-        wa = check_cocomplete(x)
+        wa = check_cocomplete(x, node_cap=node_cap)
     return TheoremReport(ccd=is_ccd(x, wa), nuclear=is_nuclear(x, wa, node_cap))
 
 
@@ -167,9 +167,9 @@ def ccd_closure_check(
     """Tensors of completely distributive categories stay completely
     distributive, and the reflector q acquires its own left adjoint."""
     if wa is None:
-        wa = check_cocomplete(a)
+        wa = check_cocomplete(a, node_cap=node_cap)
     if wb is None:
-        wb = check_cocomplete(b)
+        wb = check_cocomplete(b, node_cap=node_cap)
     if not (is_ccd(a, wa) and is_ccd(b, wb)):
         raise NotCocompleteInput("closure check expects completely distributive factors")
     t = build_tensor_product(a, b, wa, wb, node_cap=node_cap)

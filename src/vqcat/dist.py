@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BoundaryMismatch, NotAFunctor, QuantaleMismatch, VCatError
+from .kernel import hom_matrix
 from .vcat import VCategory
 
 
@@ -63,6 +64,21 @@ def functor_hom(f: VFunctor, g: VFunctor) -> int:
     """[X,Y](f,g), the meet of Y(fx, gx) over all x."""
     q = f.dom.quantale
     return q.meet_of(f.cod.hom[f.mapping[x]][g.mapping[x]] for x in range(len(f.dom)))
+
+
+def functor_hom_matrix(cod: VCategory, fs, gs) -> tuple[tuple[int, ...], ...]:
+    """The matrix of [X,Y](f, g) with a row per f in `fs` and a column per g
+    in `gs`, all functors into Y = `cod` from one X.
+
+    By Yoneda Y(b, b') = meet_d [Y(d, b), Y(d, b')], so [X,Y](f, g) is the
+    presheaf hom of the vectors (Y(d, f x))_(x, d) and (Y(d, g x))_(x, d).
+    """
+    cols = tuple(zip(*cod.hom))
+
+    def vector(f):
+        return tuple(v for fx in f.mapping for v in cols[fx])
+
+    return hom_matrix(cod.quantale, map(vector, fs), map(vector, gs))
 
 
 def validate_distributor(dom: VCategory, cod: VCategory, mat) -> Distributor:

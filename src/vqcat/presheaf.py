@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .dist import Distributor, VFunctor, identity_dist
 from .errors import SizeExceeded
+from .kernel import hom_matrix
 from .quantale import Quantale
 from .vcat import VCategory, tensor_vcat, underlying_order, unit_category
 
@@ -31,9 +32,9 @@ class PresheafCategory:
 
     Objects are ordered lexicographically by value-index vector, so indices
     are reproducible across runs; `index` maps a vector back to its object
-    index.  The full hom matrix (`cat`) is quadratic in a count that can run
-    to thousands, so it is only materialized on first use; no decision reads
-    it.
+    index.  The full hom matrix (`cat`) is built on first use by the
+    bitplane kernel (`kernel.hom_matrix`), a few big-int tests per cell; no
+    decision reads it.
     """
 
     def __init__(self, base: VCategory, vectors):
@@ -79,12 +80,11 @@ def vector_name(x: VCategory, values) -> str:
 
 def presheaf_subcategory(x: VCategory, vectors) -> VCategory:
     """The full subcategory of D(x) on the given presheaf vectors."""
-    q = x.quantale
     vectors = tuple(vectors)
     return VCategory(
-        q,
+        x.quantale,
         tuple(vector_name(x, v) for v in vectors),
-        tuple(tuple(presheaf_hom(q, u, w) for w in vectors) for u in vectors),
+        hom_matrix(x.quantale, vectors, vectors),
     )
 
 

@@ -27,7 +27,7 @@ from .cocomplete import (
     tensor_obj,
     weighted_colimit,
 )
-from .dist import Distributor, VFunctor, functor_hom
+from .dist import Distributor, VFunctor, functor_hom_matrix
 from .errors import (
     NoSuchColimit,
     NotCocomplete,
@@ -36,12 +36,12 @@ from .errors import (
     QuantaleMismatch,
     SizeExceeded,
 )
+from .kernel import hom_matrix
 from .presheaf import (
     DEFAULT_NODE_CAP,
     PresheafCategory,
     enumerate_presheaves,
     full_subcategory,
-    presheaf_hom,
     presheaf_subcategory,
 )
 from .vcat import (
@@ -122,7 +122,7 @@ def vsup_category(
     objects = tuple(
         "[" + ",".join(cod.objects[c] for c in f.mapping) + "]" for f in funs
     )
-    hom = tuple(tuple(functor_hom(f, g) for g in funs) for f in funs)
+    hom = functor_hom_matrix(cod, funs, funs)
     return VCategory(cod.quantale, objects, hom), tuple(funs)
 
 
@@ -343,11 +343,9 @@ def check_universal_property(
     for g, h in zip(bimorphs, extensions):
         if tuple(h.mapping[k] for k in t.i.mapping) != g.mapping:
             return False
-    for g1, h1 in zip(bimorphs, extensions):
-        for g2, h2 in zip(bimorphs, extensions):
-            if functor_hom(g1, g2) != functor_hom(h1, h2):
-                return False
-    return True
+    return functor_hom_matrix(c, bimorphs, bimorphs) == functor_hom_matrix(
+        c, extensions, extensions
+    )
 
 
 def galois_iso(
@@ -398,12 +396,10 @@ def galois_iso(
         images.append(xi)
     if len(set(images)) != len(ideal):
         return False
-    q = a.quantale
-    for f, xf in zip(funs, images):
-        for g, xg in zip(funs, images):
-            if presheaf_hom(q, xf, xg) != functor_hom(g, f):
-                return False
-    return True
+    # carrier(xi_f, xi_g) = [A, B^op](g, f)
+    return hom_matrix(a.quantale, images, images) == tuple(
+        zip(*functor_hom_matrix(bop, funs, funs))
+    )
 
 
 def star_autonomy_check(

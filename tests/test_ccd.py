@@ -1,9 +1,11 @@
 """Complete distributivity, duals, nuclearity, and their equivalence."""
 
 import sys
+from pathlib import Path
 
 import pytest
 
+import vqcat
 from vqcat.ccd import (
     ccd_closure_check,
     ccd_reflector,
@@ -14,8 +16,8 @@ from vqcat.ccd import (
     totally_below,
 )
 from vqcat.cocomplete import check_cocomplete, is_cocontinuous
-from vqcat.dist import identity_functor
-from vqcat.errors import NotCCD
+from vqcat.dist import functor_hom, identity_functor
+from vqcat.errors import NotCCD, SizeExceeded
 from vqcat.presheaf import (
     D_on_functor,
     PresheafCategory,
@@ -25,10 +27,27 @@ from vqcat.presheaf import (
     yoneda,
 )
 from vqcat.quantale import BUILTIN_NAMES, builtin
-from vqcat.tensorprod import build_tensor_product, reflect_vector, reflector_q
+from vqcat.tensorprod import (
+    build_tensor_product,
+    check_universal_property,
+    galois_iso,
+    reflect_vector,
+    reflector_q,
+    vsup_category,
+)
+from vqcat.textio import parse_files
 from vqcat.vcat import opposite, quantale_as_vcategory, row_object
 
-from categories import NOT_CCD, ORACLE_CATEGORIES, diamond_m3, hom_ij, oracle_category
+from categories import (
+    NOT_CCD,
+    ORACLE_CATEGORIES,
+    diamond_m3,
+    hom_ij,
+    oracle_category,
+    poset,
+)
+
+DATA = Path(vqcat.__file__).parent / "data"
 
 
 def test_quantales_are_ccd():
@@ -243,23 +262,34 @@ def test_decision_builds_no_presheaf_matrix(monkeypatch, decision, name):
     DECISIONS[decision](x)
 
 
+def count_scalar_hom_calls(monkeypatch):
+    """Rebind `presheaf_hom` and `functor_hom` in every vqcat module that
+    holds them to counting wrappers; returns the list of calls made."""
+    calls = []
+
+    def counting(scalar):
+        def wrapper(*args):
+            calls.append(scalar.__name__)
+            return scalar(*args)
+
+        return wrapper
+
+    for scalar in (presheaf_hom, functor_hom):
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("vqcat") and getattr(module, scalar.__name__, None) is scalar:
+                monkeypatch.setattr(module, scalar.__name__, counting(scalar))
+    return calls
+
+
 @pytest.mark.parametrize("name", ["chain3", "V-lukasiewicz3", "H2"])
 def test_left_adjoints_make_no_presheaf_hom_call(monkeypatch, name):
     # totally_below, the reflector and the reflector's left adjoint are one
-    # candidate and one evaluation each; only the carrier's hom matrix, built
-    # by build_tensor_product, still calls presheaf_hom
+    # candidate and one evaluation each, and the carrier's hom matrix comes
+    # from the bitplane kernel
     x = oracle_category(name)
     w = check_cocomplete(x)
     t = build_tensor_product(x, x)
-    calls = []
-
-    def counting(q, phi, psi):
-        calls.append(1)
-        return presheaf_hom(q, phi, psi)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("vqcat") and getattr(module, "presheaf_hom", None) is presheaf_hom:
-            monkeypatch.setattr(module, "presheaf_hom", counting)
+    calls = count_scalar_hom_calls(monkeypatch)
     if name in NOT_CCD:
         with pytest.raises(NotCCD):
             totally_below(w)
@@ -270,4 +300,45 @@ def test_left_adjoints_make_no_presheaf_hom_call(monkeypatch, name):
     assert calls == []
     if name not in NOT_CCD:
         assert ccd_closure_check(x, x)
-        assert len(calls) == len(t.carrier) ** 2
+        assert calls == []
+
+
+@pytest.mark.parametrize("name", ["chain3", "V-lukasiewicz3", "H2"])
+def test_hom_matrices_make_no_scalar_hom_call(monkeypatch, name):
+    # the carrier, the sup-map categories and the universal-property, Galois
+    # and nuclearity comparisons all read their hom matrices off the kernel
+    x = oracle_category(name)
+    calls = count_scalar_hom_calls(monkeypatch)
+    w = check_cocomplete(x)
+    t = build_tensor_product(x, x, w, w)
+    vsup_category(w, x)
+    assert check_universal_property(x, x, x, t=t)
+    assert galois_iso(x, x, w, w)
+    assert is_nuclear(x, w) == (name not in NOT_CCD)
+    assert calls == []
+
+
+def test_node_cap_reaches_the_factors_witness():
+    # given no witness, each decision enumerates D(x) under its own node cap
+    x = parse_files([str(DATA / "vluk.vcat")]).vcats["V"]
+    for decide in (check_cocomplete, is_nuclear, check_main_theorem):
+        with pytest.raises(SizeExceeded, match="presheaf enumeration exceeded 5 nodes"):
+            decide(x, node_cap=5)
+    with pytest.raises(SizeExceeded, match="presheaf enumeration exceeded 5 nodes"):
+        ccd_closure_check(x, x, node_cap=5)
+
+
+def boolean_algebra(k):
+    """The subsets of a k-set under inclusion, over the Boolean quantale."""
+    return poset(tuple(format(s, f"0{k}b") for s in range(1 << k)), lambda s, t: s & ~t == 0)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [poset(tuple(f"c{i}" for i in range(7)), lambda i, j: i <= j), boolean_algebra(3)],
+    ids=["chain7", "bool3"],
+)
+def test_main_theorem_on_the_frontier(x):
+    # chain7 (x) chain7* has 924 ideals and bool3 (x) bool3* has 512
+    rep = check_main_theorem(x)
+    assert rep.ccd is True and rep.nuclear is True

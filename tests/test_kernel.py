@@ -17,12 +17,16 @@ from vqcat.cocomplete import (
     tensor_obj,
     weighted_colimit,
 )
-from vqcat.dist import Distributor, VFunctor
+from vqcat.dist import Distributor, VFunctor, functor_hom, functor_hom_matrix
 from vqcat.errors import NoSuchColimit, NotCocomplete
-from vqcat.kernel import join_irreducibles
-from vqcat.presheaf import apply_D, enumerate_presheaves
+from vqcat.kernel import hom_matrix, join_irreducibles
+from vqcat.presheaf import apply_D, enumerate_presheaves, presheaf_hom
 from vqcat.quantale import BUILTIN_NAMES, builtin
-from vqcat.tensorprod import build_tensor_product, extend_bimorphism
+from vqcat.tensorprod import (
+    build_tensor_product,
+    enumerate_cocontinuous,
+    extend_bimorphism,
+)
 from vqcat.vcat import (
     opposite,
     quantale_as_vcategory,
@@ -258,3 +262,65 @@ def test_kernel_is_built_once_per_category(chain2):
     tensor_obj(x, 1, 0)
     join_obj(x, (0, 1))
     assert vars(x)["kernel"] is kernel
+
+
+def scalar_hom_matrix(q, us, ws):
+    return tuple(tuple(presheaf_hom(q, u, w) for w in ws) for u in us)
+
+
+def vector_sets(vectors):
+    return st.lists(st.sampled_from(vectors), max_size=8)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_hom_matrix_matches_presheaf_hom_on_fixed_categories(name, data):
+    for x in (FIXED[name], opposite(FIXED[name])):
+        vectors = enumerate_presheaves(x).vectors
+        us = data.draw(vector_sets(vectors))
+        ws = data.draw(vector_sets(vectors))
+        q = x.quantale
+        assert hom_matrix(q, us, ws) == scalar_hom_matrix(q, us, ws)
+
+
+@settings(max_examples=150, deadline=None)
+@given(categories(), st.data())
+def test_hom_matrix_matches_presheaf_hom_on_random_vectors(x, data):
+    # presheaves of x or of its opposite, or any vectors at all, of any
+    # length from 0 (D of the empty category has the one vector ())
+    q = x.quantale
+    kind = data.draw(st.sampled_from(["presheaves", "opposite", "any"]))
+    if kind == "any":
+        m = data.draw(st.integers(0, 4))
+        vec = st.tuples(*[st.integers(0, q.n - 1)] * m)
+        us = data.draw(st.lists(vec, max_size=8))
+        ws = data.draw(st.lists(vec, max_size=8))
+    else:
+        y = x if kind == "presheaves" else opposite(x)
+        vectors = enumerate_presheaves(y).vectors
+        us = data.draw(vector_sets(vectors))
+        ws = data.draw(vector_sets(vectors))
+    assert hom_matrix(q, us, ws) == scalar_hom_matrix(q, us, ws)
+
+
+@pytest.mark.parametrize("q", QUANTALES, ids=lambda q: ",".join(q.elements))
+def test_hom_matrix_on_empty_sets_and_vectors(q):
+    empty = validate_vcategory(q, (), ())
+    assert enumerate_presheaves(empty).vectors == ((),)
+    assert hom_matrix(q, [()], [(), ()]) == ((q.top, q.top),)
+    assert hom_matrix(q, [], [(q.top,)]) == ()
+    assert hom_matrix(q, [(q.top,), (q.bottom,)], []) == ((), ())
+
+
+@pytest.mark.parametrize("name", ORACLE_CATEGORIES)
+def test_functor_hom_matrix_matches_functor_hom(name):
+    # the sup-maps A -> A and A -> V^op, against themselves and reversed
+    x = oracle_category(name)
+    w = check_cocomplete(x)
+    vop = opposite(quantale_as_vcategory(x.quantale))
+    for cod in (x, vop):
+        fs = enumerate_cocontinuous(w, cod)
+        for gs in (fs, fs[::-1][:5]):
+            want = tuple(tuple(functor_hom(f, g) for g in gs) for f in fs)
+            assert functor_hom_matrix(cod, fs, gs) == want
