@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .cocomplete import CocompleteWitness, check_cocomplete, tensor_obj
 from .dist import VFunctor
 from .errors import NoSuchColimit, NotCCD, NotCocompleteInput
-from .presheaf import DEFAULT_NODE_CAP, full_subcategory
+from .presheaf import DEFAULT_NODE_CAP
 from .tensorprod import (
     build_tensor_product,
     extend_bimorphism,
@@ -72,9 +72,7 @@ def ccd_reflector(ta: TotallyBelowWitness, tb: TotallyBelowWitness, values):
         for b in range(nb):
             out.append(
                 q.meet_of(
-                    q.res(
-                        q.mul(ta.below(x, a), tb.below(y, b)), values[x * nb + y]
-                    )
+                    q.hom[q.mult[ta.below(x, a)][tb.below(y, b)]][values[x * nb + y]]
                     for x in range(len(a_cat))
                     for y in range(nb)
                 )
@@ -130,9 +128,9 @@ def is_nuclear(
         big = extend_bimorphism(t, beta_fun)
     except NoSuchColimit:
         return False
-    return (
-        len(set(big.mapping)) == len(h_cat)
-        and t.carrier.hom == full_subcategory(h_cat, big.mapping).hom
+    return len(set(big.mapping)) == len(h_cat) and all(
+        row == tuple(map(h_cat.hom[bk].__getitem__, big.mapping))
+        for row, bk in zip(t.carrier.hom, big.mapping)
     )
 
 

@@ -296,7 +296,7 @@ def _cmd_check(args, caps) -> int:
     return code
 
 
-def _first_vcat(ws: Workspace):
+def _last_vcat(ws: Workspace):
     """The last vcategory defined in a file: its headline object."""
     name = next(reversed(ws.vcats))
     return name, ws.vcats[name]
@@ -306,8 +306,8 @@ def _cmd_tensor(args, caps) -> int:
     spaces = [_load([f], caps) for f in (args.file_a, args.file_b, args.file_c) if f]
     for ws in spaces:
         _check_obj_cap(ws, caps)
-    na, a = _first_vcat(spaces[0])
-    nb, b = _first_vcat(spaces[1])
+    na, a = _last_vcat(spaces[0])
+    nb, b = _last_vcat(spaces[1])
     t = build_tensor_product(a, b, node_cap=caps[2])
     print(f"tensor {na} (x) {nb}: carrier has {len(t.carrier)} ideal presheaves")
     if args.list_all:
@@ -315,7 +315,7 @@ def _cmd_tensor(args, caps) -> int:
             print("  " + t.carrier.objects[k])
     code = 0
     if args.file_c:
-        nc, c = _first_vcat(spaces[2])
+        nc, c = _last_vcat(spaces[2])
         verdict = check_universal_property(a, b, c, t=t, node_cap=caps[2])
         print(f"universal property against {nc}: " + ("holds" if verdict else "FAILS"))
         code = max(code, 0 if verdict else 2)

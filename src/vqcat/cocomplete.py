@@ -37,7 +37,7 @@ def sup_target(x: VCategory, values):
     q = x.quantale
     m = len(x)
     return tuple(
-        q.meet_of(q.res(values[a], x.hom[a][b]) for a in range(m)) for b in range(m)
+        q.meet_of(q.hom[values[a]][x.hom[a][b]] for a in range(m)) for b in range(m)
     )
 
 

@@ -20,9 +20,6 @@ class VFunctor:
     cod: VCategory
     mapping: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
 
 @dataclass(frozen=True)
 class Distributor:
@@ -43,7 +40,7 @@ def validate_functor(dom: VCategory, cod: VCategory, mapping) -> VFunctor:
             raise NotAFunctor(f"image index {fx} out of range")
     for x in range(len(dom)):
         for x2 in range(len(dom)):
-            if not q.le(dom.hom[x][x2], cod.hom[mapping[x]][mapping[x2]]):
+            if not q.leq[dom.hom[x][x2]][cod.hom[mapping[x]][mapping[x2]]]:
                 raise NotAFunctor(
                     "hom inequality failed", (dom.objects[x], dom.objects[x2])
                 )
@@ -92,9 +89,9 @@ def validate_distributor(dom: VCategory, cod: VCategory, mat) -> Distributor:
         for y in range(len(cod)):
             left = cod.hom[y2][y]
             for x in range(len(dom)):
-                v = q.mul(left, mat[y][x])
+                v = q.mult[left][mat[y][x]]
                 for x2 in range(len(dom)):
-                    if not q.le(q.mul(v, dom.hom[x][x2]), mat[y2][x2]):
+                    if not q.leq[q.mult[v][dom.hom[x][x2]]][mat[y2][x2]]:
                         raise VCatError(
                             "bimodule condition failed",
                             (cod.objects[y2], dom.objects[x2]),
@@ -116,7 +113,7 @@ def compose_dist(psi: Distributor, phi: Distributor) -> Distributor:
     ny = len(psi.dom)
     mat = tuple(
         tuple(
-            q.join_of(q.mul(psi.mat[z][y], phi.mat[y][x]) for y in range(ny))
+            q.join_of(q.mult[psi.mat[z][y]][phi.mat[y][x]] for y in range(ny))
             for x in range(len(phi.dom))
         )
         for z in range(len(psi.cod))
@@ -132,7 +129,7 @@ def right_extension(xi: Distributor, phi: Distributor) -> Distributor:
     nx = len(xi.dom)
     mat = tuple(
         tuple(
-            q.meet_of(q.res(phi.mat[y][x], xi.mat[z][x]) for x in range(nx))
+            q.meet_of(q.hom[phi.mat[y][x]][xi.mat[z][x]] for x in range(nx))
             for y in range(len(phi.cod))
         )
         for z in range(len(xi.cod))
@@ -148,7 +145,7 @@ def right_lifting(psi: Distributor, xi: Distributor) -> Distributor:
     nz = len(psi.cod)
     mat = tuple(
         tuple(
-            q.meet_of(q.res(psi.mat[z][y], xi.mat[z][x]) for z in range(nz))
+            q.meet_of(q.hom[psi.mat[z][y]][xi.mat[z][x]] for z in range(nz))
             for x in range(len(xi.dom))
         )
         for y in range(len(psi.dom))
@@ -174,7 +171,7 @@ def graph(f: VFunctor) -> tuple[Distributor, Distributor]:
 def dist_le(phi: Distributor, psi: Distributor) -> bool:
     q = phi.dom.quantale
     return all(
-        q.le(phi.mat[y][x], psi.mat[y][x])
+        q.leq[phi.mat[y][x]][psi.mat[y][x]]
         for y in range(len(phi.cod))
         for x in range(len(phi.dom))
     )

@@ -65,13 +65,13 @@ class PresheafCategory:
         cand = [q.top] * len(self.base)
         for v, psi in zip(tuple(row), self.vectors, strict=True):
             for x, w in enumerate(psi):
-                cand[x] = q.meet[cand[x]][q.res(v, w)]
+                cand[x] = q.meet[cand[x]][q.hom[v][w]]
         return self.index[tuple(cand)]
 
 
 def presheaf_hom(q: Quantale, phi, psi) -> int:
     """DX(phi, psi) = meet_x [phi(x), psi(x)]."""
-    return q.meet_of(q.res(v, w) for v, w in zip(phi, psi))
+    return q.meet_of(q.hom[v][w] for v, w in zip(phi, psi))
 
 
 def vector_name(x: VCategory, values) -> str:
@@ -118,7 +118,7 @@ def enumerate_presheaves(x: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> Pres
             for w in range(n):
                 if not (q.leq[lo][w] and q.leq[w][up]):
                     continue
-                if not q.le(q.mul(hss, w), w):
+                if not q.leq[q.mult[hss][w]][w]:
                     continue
                 nodes += 1
                 if nodes > node_cap:
@@ -132,8 +132,8 @@ def enumerate_presheaves(x: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> Pres
                 for d in range(depth + 1, m):
                     u = var_order[d]
                     saved.append((u, lower[u], upper[u]))
-                    nl = q.join[lower[u]][q.mul(x.hom[u][s], w)]
-                    nu = q.meet[upper[u]][q.res(x.hom[s][u], w)]
+                    nl = q.join[lower[u]][q.mult[x.hom[u][s]][w]]
+                    nu = q.meet[upper[u]][q.hom[x.hom[s][u]][w]]
                     lower[u], upper[u] = nl, nu
                     if not q.leq[nl][nu]:
                         ok = False
@@ -188,7 +188,7 @@ def apply_D(f: VFunctor, phi):
     q = f.dom.quantale
     y = f.cod
     return tuple(
-        q.join_of(q.mul(y.hom[b][f.mapping[a]], phi[a]) for a in range(len(f.dom)))
+        q.join_of(q.mult[y.hom[b][f.mapping[a]]][phi[a]] for a in range(len(f.dom)))
         for b in range(len(y))
     )
 
@@ -217,7 +217,7 @@ def D_all(f: VFunctor, dx: PresheafCategory, dy: PresheafCategory) -> VFunctor:
         dy.index[
             tuple(
                 q.meet_of(
-                    q.res(f.cod.hom[f.mapping[a]][b], phi[a])
+                    q.hom[f.cod.hom[f.mapping[a]][b]][phi[a]]
                     for a in range(len(f.dom))
                 )
                 for b in range(len(dy.base))
@@ -247,7 +247,7 @@ def d2(
     mapping = []
     for phi in dx.vectors:
         for psi in dy.vectors:
-            vec = tuple(q.mul(v, w) for v in phi for w in psi)
+            vec = tuple(q.mult[v][w] for v in phi for w in psi)
             mapping.append(dxy.index[vec])
     return VFunctor(dom, dxy.cat, tuple(mapping))
 
@@ -272,7 +272,7 @@ def inverter(f: VFunctor, g: VFunctor):
     kept = tuple(
         a
         for a in range(len(f.dom))
-        if q.le(q.unit, f.cod.hom[g.mapping[a]][f.mapping[a]])
+        if q.leq[q.unit][f.cod.hom[g.mapping[a]][f.mapping[a]]]
     )
     return full_subcategory(f.dom, kept), kept
 
@@ -292,7 +292,9 @@ def cauchy_completion(x: VCategory, dx: PresheafCategory):
         i
         for i, phi in enumerate(dx.vectors)
         if all(
-            q.le(presheaf_hom(q, psi, phi), q.join_of(map(q.mul, ty, phi)))
+            q.leq[presheaf_hom(q, psi, phi)][
+                q.join_of(q.mult[t][v] for t, v in zip(ty, phi))
+            ]
             for psi, ty in zip(dx.vectors, to_y)
         )
     )

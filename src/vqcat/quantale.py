@@ -49,15 +49,6 @@ class Quantale:
     def n(self) -> int:
         return len(self.elements)
 
-    def le(self, u: int, v: int) -> bool:
-        return self.leq[u][v]
-
-    def mul(self, u: int, v: int) -> int:
-        return self.mult[u][v]
-
-    def res(self, v: int, w: int) -> int:
-        return self.hom[v][w]
-
     def join_of(self, values) -> int:
         """Join of an arbitrary (possibly empty) iterable, folded from bottom."""
         acc = self.bottom

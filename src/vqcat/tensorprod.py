@@ -47,7 +47,6 @@ from .presheaf import (
 from .vcat import (
     VCategory,
     opposite,
-    pair_index,
     quantale_as_vcategory,
     row_object,
     tensor_vcat,
@@ -71,13 +70,13 @@ def enumerate_vfunctors(dom: VCategory, cod: VCategory, node_cap: int = DEFAULT_
     def place(x):
         nonlocal nodes
         for c in range(n):
-            if not q.le(dom.hom[x][x], cod.hom[c][c]):
+            if not q.leq[dom.hom[x][x]][cod.hom[c][c]]:
                 continue
             ok = True
             for x2 in range(x):
                 if not (
-                    q.le(dom.hom[x][x2], cod.hom[c][img[x2]])
-                    and q.le(dom.hom[x2][x], cod.hom[img[x2]][c])
+                    q.leq[dom.hom[x][x2]][cod.hom[c][img[x2]]]
+                    and q.leq[dom.hom[x2][x]][cod.hom[img[x2]][c]]
                 ):
                     ok = False
                     break
@@ -146,8 +145,8 @@ def g_ideal_failure(wa: CocompleteWitness, wb: CocompleteWitness, xi):
             for a, va in enumerate(phi):
                 row = a * nb
                 for b, vb in enumerate(psi):
-                    m = q.meet[m][q.res(q.mul(va, vb), xi[row + b])]
-                    if q.le(m, target):
+                    m = q.meet[m][q.hom[q.mult[va][vb]][xi[row + b]]]
+                    if q.leq[m][target]:
                         done = True
                         break
                 if done:
@@ -239,7 +238,7 @@ def reflect_vector(q, ideal_vectors, values):
     """
     acc = None
     for xi in ideal_vectors:
-        if all(q.le(v, w) for v, w in zip(values, xi)):
+        if all(q.leq[v][w] for v, w in zip(values, xi)):
             if acc is None:
                 acc = list(xi)
             else:
@@ -291,11 +290,11 @@ def is_bimorphism(
     a, b = wa.base, wb.base
     nb = len(b)
     for y in range(nb):
-        part = VFunctor(a, f.cod, tuple(f.mapping[pair_index(a, b, x, y)] for x in range(len(a))))
+        part = VFunctor(a, f.cod, tuple(f.mapping[x * nb + y] for x in range(len(a))))
         if not is_cocontinuous(part, wa):
             return False
     for x in range(len(a)):
-        part = VFunctor(b, f.cod, tuple(f.mapping[pair_index(a, b, x, y)] for y in range(nb)))
+        part = VFunctor(b, f.cod, tuple(f.mapping[x * nb + y] for y in range(nb)))
         if not is_cocontinuous(part, wb):
             return False
     return True

@@ -64,7 +64,7 @@ def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
                     (objects[x], objects[y], v),
                 )
     for x in range(m):
-        if not q.le(q.unit, hom[x][x]):
+        if not q.leq[q.unit][hom[x][x]]:
             raise ReflexivityFail(
                 f"e is not below hom[{objects[x]}][{objects[x]}]", (objects[x],)
             )
@@ -72,7 +72,7 @@ def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
         for y in range(m):
             v = hom[x][y]
             for z in range(m):
-                if not q.le(q.mul(v, hom[y][z]), hom[x][z]):
+                if not q.leq[q.mult[v][hom[y][z]]][hom[x][z]]:
                     raise TransitivityFail(
                         "composition inequality failed",
                         (objects[x], objects[y], objects[z]),
@@ -99,7 +99,7 @@ def underlying_order(x: VCategory) -> tuple[tuple[bool, ...], ...]:
     """x <= x' iff e <= X(x,x'); reflexive and transitive by the axioms."""
     q = x.quantale
     return tuple(
-        tuple(q.le(q.unit, x.hom[a][b]) for b in range(len(x))) for a in range(len(x))
+        tuple(q.leq[q.unit][x.hom[a][b]] for b in range(len(x))) for a in range(len(x))
     )
 
 
@@ -139,7 +139,7 @@ def tensor_vcat(x: VCategory, y: VCategory) -> VCategory:
     )
     hom = tuple(
         tuple(
-            q.mul(x.hom[a][a2], y.hom[b][b2])
+            q.mult[x.hom[a][a2]][y.hom[b][b2]]
             for a2 in range(len(x))
             for b2 in range(len(y))
         )
@@ -147,10 +147,6 @@ def tensor_vcat(x: VCategory, y: VCategory) -> VCategory:
         for b in range(len(y))
     )
     return VCategory(q, objects, hom)
-
-
-def pair_index(x: VCategory, y: VCategory, a: int, b: int) -> int:
-    return a * len(y) + b
 
 
 def discrete(q: Quantale, names) -> VCategory:

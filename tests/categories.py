@@ -89,7 +89,7 @@ def is_presheaf_vector(x, values) -> bool:
     q = x.quantale
     m = len(x)
     return all(
-        q.le(q.mul(x.hom[a][b], values[b]), values[a])
+        q.leq[q.mult[x.hom[a][b]][values[b]]][values[a]]
         for a in range(m)
         for b in range(m)
     )

@@ -94,9 +94,9 @@ def test_criterion_1_quantale_suite(announce):
     ok = True
     for name in BUILTIN_NAMES:
         q = builtin(name)
-        ok = ok and q.le(q.unit, q.unit)
+        ok = ok and q.leq[q.unit][q.unit]
         for u, v, w in itertools.product(range(q.n), repeat=3):
-            ok = ok and (q.le(q.mul(u, v), w) == q.le(u, q.hom[v][w]))
+            ok = ok and (q.leq[q.mult[u][v]][w] == q.leq[u][q.hom[v][w]])
     announce(1, ok)
     assert ok
 
@@ -185,8 +185,8 @@ def random_category(q, m, rng):
         for a in range(m):
             for b in range(m):
                 for c in range(m):
-                    v = q.mul(hom[a][b], hom[b][c])
-                    if not q.le(v, hom[a][c]):
+                    v = q.mult[hom[a][b]][hom[b][c]]
+                    if not q.leq[v][hom[a][c]]:
                         hom[a][c] = q.join_of((hom[a][c], v))
                         changed = True
     return validate_vcategory(
@@ -204,10 +204,10 @@ def random_distributor(x, y, rng):
         for y2 in range(len(y)):
             for yy in range(len(y)):
                 for a in range(len(x)):
-                    v = q.mul(y.hom[y2][yy], mat[yy][a])
+                    v = q.mult[y.hom[y2][yy]][mat[yy][a]]
                     for a2 in range(len(x)):
-                        w = q.mul(v, x.hom[a][a2])
-                        if not q.le(w, mat[y2][a2]):
+                        w = q.mult[v][x.hom[a][a2]]
+                        if not q.leq[w][mat[y2][a2]]:
                             mat[y2][a2] = q.join_of((mat[y2][a2], w))
                             changed = True
     return validate_distributor(x, y, tuple(map(tuple, mat)))

@@ -4,7 +4,9 @@ import pytest
 
 from vqcat.cli import main
 from vqcat.corpus import data_text
+from vqcat.dist import compose_dist, right_extension, right_lifting
 from vqcat.presheaf import PresheafCategory
+from vqcat.textio import parse_text, show_distributor
 
 CHAIN2 = """
 quantale two builtin two
@@ -119,16 +121,30 @@ def test_malformed_caps_usage_error(chain2_file, caps, capsys):
     assert "--caps" in capsys.readouterr().err
 
 
-def test_dist_compose(tmp_path, capsys):
-    p = tmp_path / "d.vcat"
-    p.write_text(
+@pytest.mark.parametrize(
+    "action, first, second, calculus, name",
+    [
+        ("compose", "phi", "psi", compose_dist, "phi.psi"),
+        ("ext", "phi", "psi", right_extension, "ext_phi_psi"),
+        ("lift", "psi", "phi", right_lifting, "lift_psi_phi"),
+    ],
+    ids=("compose", "ext", "lift"),
+)
+def test_dist_compose(tmp_path, capsys, action, first, second, calculus, name):
+    # phi is the hom of C2 and psi the top distributor; the three results differ
+    text = (
         CHAIN2
         + "distributor phi : C2 -> C2\n"
-        "  val x0 x0 = 1\n  val x1 x0 = 1\n  val x1 x1 = 1\n",
-        encoding="utf-8",
+        "  val x0 x0 = 1\n  val x1 x0 = 1\n  val x1 x1 = 1\n"
+        "distributor psi : C2 -> C2\n"
+        "  val x0 x0 = 1\n  val x0 x1 = 1\n  val x1 x0 = 1\n  val x1 x1 = 1\n"
     )
-    assert main(["dist", "compose", "phi", "phi", str(p)]) == 0
-    assert "val" in capsys.readouterr().out
+    p = tmp_path / "d.vcat"
+    p.write_text(text, encoding="utf-8")
+    assert main(["dist", action, first, second, str(p)]) == 0
+    dists = parse_text(text).dists
+    res = calculus(dists[first], dists[second])
+    assert capsys.readouterr().out == show_distributor(name, "C2", "C2", res)
 
 
 def test_machine_flag_position(capsys):

@@ -53,7 +53,7 @@ def test_quantale_is_cocomplete_with_join_tensor_sup():
         w = check_cocomplete(x)
         for k, phi in enumerate(w.dx.vectors):
             # sup phi = join_v phi(v) * v
-            expected = q.join_of(q.mul(phi[v], v) for v in range(q.n))
+            expected = q.join_of(q.mult[phi[v]][v] for v in range(q.n))
             assert w.sup_index[k] == expected
             assert sup_join_tensor(w, phi) == expected
 
@@ -109,7 +109,7 @@ def test_tensor_obj_by_unit(chain2, v_luk):
 def test_tensor_obj_in_quantale_category(v_luk, luk3):
     for v in range(luk3.n):
         for w in range(luk3.n):
-            assert tensor_obj(v_luk, v, w) == luk3.mul(v, w)
+            assert tensor_obj(v_luk, v, w) == luk3.mult[v][w]
 
 
 def test_join_obj(chain2):

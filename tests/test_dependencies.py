@@ -1,5 +1,6 @@
 """The library has no runtime dependencies: every module under `src/vqcat`
-imports only the standard library and `vqcat` itself."""
+imports only the standard library and `vqcat` itself.  It also reads the
+quantale only through its tables: no module names a removed alias."""
 
 import ast
 import sys
@@ -22,6 +23,20 @@ def imported_roots(tree):
             yield node.module.partition(".")[0]
 
 
+REMOVED_ALIASES = {"le", "mul", "res"}
+
+
+def alias_attributes(tree):
+    """Every attribute named like a removed `Quantale` alias, called or not.
+
+    The aliases `le`, `mul` and `res` are spelled `q.leq[u][v]`,
+    `q.mult[u][v]` and `q.hom[v][w]`.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in REMOVED_ALIASES:
+            yield node.attr
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_only_stdlib_and_vqcat(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -36,3 +51,15 @@ def test_imports_only_stdlib_and_vqcat(path):
 def test_guard_sees_a_foreign_import():
     tree = ast.parse("import numpy as np\nfrom hypothesis import given\nfrom .kernel import Planes\n")
     assert list(imported_roots(tree)) == ["numpy", "hypothesis"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_reads_the_quantale_through_its_tables(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert list(alias_attributes(tree)) == []
+
+
+def test_guard_sees_a_removed_alias():
+    calls = "".join(f"q.{name}(u, v)\n" for name in ("le", "res"))
+    tree = ast.parse(calls + "map(q.mul, ty, phi)\nq.hom[v][w]\n")
+    assert sorted(alias_attributes(tree)) == ["le", "mul", "res"]

@@ -65,10 +65,10 @@ def test_functor_hom_reflexive_and_composes(v_luk):
     fs = list(all_functors(v_luk, v_luk))
     q = v_luk.quantale
     for f in fs:
-        assert q.le(q.unit, functor_hom(f, f))
+        assert q.leq[q.unit][functor_hom(f, f)]
     for f, g, h in itertools.product(fs, repeat=3):
-        lhs = q.mul(functor_hom(f, g), functor_hom(g, h))
-        assert q.le(lhs, functor_hom(f, h))
+        lhs = q.mult[functor_hom(f, g)][functor_hom(g, h)]
+        assert q.leq[lhs][functor_hom(f, h)]
 
 
 def test_identity_dist_unit_law(chain2):

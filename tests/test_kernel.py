@@ -53,7 +53,7 @@ FIXED = {
 
 def tensor_by_formula(x, v, z):
     q = x.quantale
-    return row_object(x, tuple(q.res(v, x.hom[z][b]) for b in range(len(x))))
+    return row_object(x, tuple(q.hom[v][x.hom[z][b]] for b in range(len(x))))
 
 
 def join_by_formula(x, objs):
@@ -72,7 +72,7 @@ def check_tensors_and_joins(x):
                 with pytest.raises(NoSuchColimit) as exc:
                     tensor_obj(x, v, z)
                 assert exc.value.weight["target"] == tuple(
-                    q.res(v, x.hom[z][b]) for b in range(len(x))
+                    q.hom[v][x.hom[z][b]] for b in range(len(x))
                 )
             else:
                 assert tensor_obj(x, v, z) == want
@@ -123,7 +123,7 @@ def closure(q, hom):
     ]
     while True:
         new = [
-            [q.join_of(q.mul(hom[a][c], hom[c][b]) for c in range(m)) for b in range(m)]
+            [q.join_of(q.mult[hom[a][c]][hom[c][b]] for c in range(m)) for b in range(m)]
             for a in range(m)
         ]
         if new == hom:

@@ -187,10 +187,10 @@ def test_d2_vector(luk3):
     f = d2(dx, dx, dxy)
     phi, psi = dx.index[(1, 2)], dx.index[(0, 1)]
     assert dxy.vectors[f.mapping[phi * len(dx) + psi]] == (
-        luk3.mul(1, 0),
-        luk3.mul(1, 1),
-        luk3.mul(2, 0),
-        luk3.mul(2, 1),
+        luk3.mult[1][0],
+        luk3.mult[1][1],
+        luk3.mult[2][0],
+        luk3.mult[2][1],
     )
 
 

@@ -14,7 +14,7 @@ def test_residuation_adjunction(q, data):
     u = data.draw(st.integers(0, q.n - 1))
     v = data.draw(st.integers(0, q.n - 1))
     w = data.draw(st.integers(0, q.n - 1))
-    assert q.le(q.mul(u, v), w) == q.le(u, q.hom[v][w])
+    assert q.leq[q.mult[u][v]][w] == q.leq[u][q.hom[v][w]]
 
 
 @given(quantales, st.data())
@@ -22,8 +22,8 @@ def test_residuation_antitone_monotone(q, data):
     v = data.draw(st.integers(0, q.n - 1))
     w = data.draw(st.integers(0, q.n - 1))
     w2 = data.draw(st.integers(0, q.n - 1))
-    if q.le(w, w2):
-        assert q.le(q.hom[v][w], q.hom[v][w2])
+    if q.leq[w][w2]:
+        assert q.leq[q.hom[v][w]][q.hom[v][w2]]
 
 
 @settings(max_examples=50)
@@ -32,5 +32,5 @@ def test_presheaf_hom_triangle(q, data):
     m = data.draw(st.integers(1, 3))
     vec = st.tuples(*([st.integers(0, q.n - 1)] * m))
     phi, psi, chi = data.draw(vec), data.draw(vec), data.draw(vec)
-    lhs = q.mul(presheaf_hom(q, phi, psi), presheaf_hom(q, psi, chi))
-    assert q.le(lhs, presheaf_hom(q, phi, chi))
+    lhs = q.mult[presheaf_hom(q, phi, psi)][presheaf_hom(q, psi, chi)]
+    assert q.leq[lhs][presheaf_hom(q, phi, chi)]

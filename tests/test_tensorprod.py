@@ -25,7 +25,6 @@ from vqcat.tensorprod import (
     vsup_category,
 )
 from vqcat.vcat import (
-    pair_index,
     quantale_as_vcategory,
     tensor_vcat,
     validate_vcategory,
@@ -36,7 +35,7 @@ from categories import heyting, lukasiewicz, oracle_category, poset
 
 def d2_vector(q, phi, psi):
     """(phi(a) * psi(b)), pair (a,b) at index a*|B|+b."""
-    return tuple(q.mul(v, w) for v in phi for w in psi)
+    return tuple(q.mult[v][w] for v in phi for w in psi)
 
 
 def naive_is_g_ideal(wa, wb, xi):
@@ -47,7 +46,7 @@ def naive_is_g_ideal(wa, wb, xi):
     for ka, phi in enumerate(wa.dx.vectors):
         for kb, psi in enumerate(wb.dx.vectors):
             lhs = q.meet_of(
-                q.res(q.mul(phi[a], psi[b]), xi[a * nb + b])
+                q.hom[q.mult[phi[a]][psi[b]]][xi[a * nb + b]]
                 for a in range(len(wa.base))
                 for b in range(nb)
             )
@@ -236,7 +235,7 @@ def test_reflector_of_bottom_is_least_ideal(t_chain2):
     least = reflector_q(t_chain2, bottom)
     for k in range(len(t_chain2.carrier)):
         xi = t_chain2.ideal_vectors[k]
-        assert all(q.le(v, w) for v, w in zip(least, xi))
+        assert all(q.leq[v][w] for v, w in zip(least, xi))
 
 
 def test_reflector_adjoint_to_inclusion(t_chain2):
@@ -266,7 +265,7 @@ def test_quantale_mult_is_bimorphism(v_luk, luk3):
     vv = tensor_vcat(v_luk, v_luk)
     w = check_cocomplete(v_luk)
     mult = VFunctor(
-        vv, v_luk, tuple(luk3.mul(a, b) for a in range(3) for b in range(3))
+        vv, v_luk, tuple(luk3.mult[a][b] for a in range(3) for b in range(3))
     )
     assert is_bimorphism(mult, w, w)
 
@@ -305,7 +304,7 @@ def test_bimorphism_square(chain2, t_chain2):
     q = chain2.quantale
     for ka, phi in enumerate(t.wa.dx.vectors):
         for kb, psi in enumerate(t.wb.dx.vectors):
-            p = pair_index(chain2, chain2, t.wa.sup_index[ka], t.wb.sup_index[kb])
+            p = t.wa.sup_index[ka] * len(chain2) + t.wb.sup_index[kb]
             lhs = t.i.mapping[p]
             rhs = t.q_mapping[t.dab.index[d2_vector(q, phi, psi)]]
             assert lhs == rhs
