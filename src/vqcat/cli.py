@@ -296,26 +296,28 @@ def _cmd_check(args, caps) -> int:
     return code
 
 
-def _last_vcat(ws: Workspace):
+def _last_vcat(ws: Workspace, path: str):
     """The last vcategory defined in a file: its headline object."""
+    if not ws.vcats:
+        raise VqError(f"{path} defines no vcategory")
     name = next(reversed(ws.vcats))
     return name, ws.vcats[name]
 
 
 def _cmd_tensor(args, caps) -> int:
-    spaces = [_load([f], caps) for f in (args.file_a, args.file_b, args.file_c) if f]
+    files = [f for f in (args.file_a, args.file_b, args.file_c) if f]
+    spaces = [_load([f], caps) for f in files]
     for ws in spaces:
         _check_obj_cap(ws, caps)
-    na, a = _last_vcat(spaces[0])
-    nb, b = _last_vcat(spaces[1])
+    (na, a), (nb, b), *rest = [_last_vcat(ws, f) for ws, f in zip(spaces, files)]
     t = build_tensor_product(a, b, node_cap=caps[2])
     print(f"tensor {na} (x) {nb}: carrier has {len(t.carrier)} ideal presheaves")
     if args.list_all:
         for k in range(len(t.carrier)):
             print("  " + t.carrier.objects[k])
     code = 0
-    if args.file_c:
-        nc, c = _last_vcat(spaces[2])
+    if rest:
+        nc, c = rest[0]
         verdict = check_universal_property(a, b, c, t=t, node_cap=caps[2])
         print(f"universal property against {nc}: " + ("holds" if verdict else "FAILS"))
         code = max(code, 0 if verdict else 2)

@@ -1,11 +1,11 @@
 """The free cocompletion D: presheaf enumeration, Yoneda structures, monad data.
 
-Presheaves are V-valued downsets: vectors over the base objects satisfying
-X(x,x') * phi(x') <= phi(x).  `enumerate_presheaves` explores them with
-backtracking plus bound propagation; the constraint set between any two
-coordinates is an order interval, so each assignment tightens a (lower, upper)
-pair and dead branches are cut early.  The guard counts explored search nodes
-rather than the naive |V|^m candidate space, which pruning makes meaningless.
+A presheaf is a V-functor X^op -> V: a vector over the base objects with
+X(x,x') * phi(x') <= phi(x).  `enumerate_presheaves` finds them with
+`search_vfunctors`, the one backtracking search, which also enumerates the
+V-functors between any two categories.  Its guard counts explored search
+nodes rather than the naive |V|^m candidate space, which pruning makes
+meaningless.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .dist import Distributor, VFunctor, identity_dist
 from .errors import SizeExceeded
 from .kernel import hom_matrix
 from .quantale import Quantale
-from .vcat import VCategory, tensor_vcat, underlying_order, unit_category
+from .vcat import VCategory, opposite, quantale_as_vcategory, tensor_vcat, unit_category
 
 DEFAULT_NODE_CAP = 2_000_000
 
@@ -88,65 +88,87 @@ def presheaf_subcategory(x: VCategory, vectors) -> VCategory:
     )
 
 
-def enumerate_presheaves(x: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> PresheafCategory:
-    """All presheaves on x, via backtracking with interval propagation."""
-    q = x.quantale
-    m = len(x)
-    n = q.n
+def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
+    """All V-functors dom -> cod, as sorted mapping tuples: the one search.
+
+    Each object's candidate images are an int bitmask, first the images c
+    with dom(t, t) <= cod(c, c).  Placing an image c2 at s narrows every
+    later object t's mask with one `&` against `fits[u, v][c2]`, the images c
+    with u <= cod(c, c2) and v <= cod(c2, c) for u = dom(t, s), v = dom(s, t);
+    a branch that empties a mask is cut.  A node is counted per placement,
+    and past `node_cap` SizeExceeded says "<what> enumeration exceeded".
+
+    Objects are placed most-constrained first: descending number of objects
+    below them in dom, ties by index.  For presheaves (dom = X^op, cod = V)
+    no mask is ever emptied: the join of X(t, s) * phi(s) over the placed s
+    always fits t, because X(t, u) * X(u, s) <= X(t, s).  So a presheaf
+    search cuts no branch early, and its node count is the number of
+    consistent partial presheaves in placement order.
+    """
+    m, n = len(dom), len(cod)
     if m == 0:
-        vectors = ((),)
-    else:
-        order = underlying_order(x)
-        # most-constrained first: descending out-degree in the underlying order
-        var_order = sorted(
-            range(m), key=lambda a: (-sum(order[a]), a)
-        )
-        lower = [q.bottom] * m
-        upper = [q.top] * m
-        assigned = [-1] * m
-        out: list[tuple[int, ...]] = []
-        nodes = 0
+        return [()]
+    q = dom.quantale
+    leq, dh, ch = q.leq, dom.hom, cod.hom
+    order = sorted(range(m), key=lambda a: (-sum(leq[q.unit][dh[b][a]] for b in range(m)), a))
+    full = (1 << n) - 1
+    fits = {}
 
-        def extend(depth):
-            nonlocal nodes
-            if depth == m:
-                out.append(tuple(assigned))
-                return
-            s = var_order[depth]
-            lo, up = lower[s], upper[s]
-            hss = x.hom[s][s]
-            for w in range(n):
-                if not (q.leq[lo][w] and q.leq[w][up]):
-                    continue
-                if not q.leq[q.mult[hss][w]][w]:
-                    continue
-                nodes += 1
-                if nodes > node_cap:
-                    raise SizeExceeded(
-                        f"presheaf enumeration exceeded {node_cap} nodes",
-                        estimate=node_cap,
-                    )
-                assigned[s] = w
-                saved = []
-                ok = True
-                for d in range(depth + 1, m):
-                    u = var_order[d]
-                    saved.append((u, lower[u], upper[u]))
-                    nl = q.join[lower[u]][q.mult[x.hom[u][s]][w]]
-                    nu = q.meet[upper[u]][q.hom[x.hom[s][u]][w]]
-                    lower[u], upper[u] = nl, nu
-                    if not q.leq[nl][nu]:
-                        ok = False
-                        break
-                if ok:
-                    extend(depth + 1)
-                for u, ol, ou in reversed(saved):
-                    lower[u], upper[u] = ol, ou
-                assigned[s] = -1
+    def fit(u, v):
+        if (u, v) not in fits:
+            fits[u, v] = tuple(
+                sum(1 << c for c in range(n) if leq[u][ch[c][c2]] and leq[v][ch[c2][c]])
+                for c2 in range(n)
+            )
+        return fits[u, v]
 
-        extend(0)
-        vectors = tuple(sorted(out))
-    return PresheafCategory(x, vectors)
+    # narrow[d]: (later depth, fits row) for every later object constrained by depth d
+    narrow = [
+        [
+            (k, tab)
+            for k in range(d + 1, m)
+            for tab in [fit(dh[order[k]][s], dh[s][order[k]])]
+            if any(f != full for f in tab)
+        ]
+        for d, s in enumerate(order)
+    ]
+    img = [0] * m
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def place(d, masks):
+        nonlocal nodes
+        s, mask, last = order[d], masks[d], d + 1 == m
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            c = low.bit_length() - 1
+            nodes += 1
+            if nodes > node_cap:
+                raise SizeExceeded(
+                    f"{what} enumeration exceeded {node_cap} nodes", estimate=node_cap
+                )
+            img[s] = c
+            if last:
+                out.append(tuple(img))
+                continue
+            nxt = masks[:]
+            for k, tab in narrow[d]:
+                nxt[k] &= tab[c]
+                if not nxt[k]:
+                    break
+            else:
+                place(d + 1, nxt)
+
+    place(0, [sum(1 << c for c in range(n) if leq[dh[t][t]][ch[c][c]]) for t in order])
+    out.sort()
+    return out
+
+
+def enumerate_presheaves(x: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> PresheafCategory:
+    """All presheaves on x: the V-functors x^op -> V, by `search_vfunctors`."""
+    v = quantale_as_vcategory(x.quantale)
+    return PresheafCategory(x, search_vfunctors(opposite(x), v, node_cap, "presheaf"))
 
 
 def yoneda(x: VCategory, dx: PresheafCategory) -> VFunctor:

@@ -43,6 +43,7 @@ from .presheaf import (
     enumerate_presheaves,
     full_subcategory,
     presheaf_subcategory,
+    search_vfunctors,
 )
 from .vcat import (
     VCategory,
@@ -54,48 +55,8 @@ from .vcat import (
 
 
 def enumerate_vfunctors(dom: VCategory, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP):
-    """All hom-preserving object maps dom -> cod, as mapping tuples.
-
-    Backtracking over images; a partial assignment is cut as soon as one hom
-    inequality against an already-placed object fails.
-    """
-    q = dom.quantale
-    m, n = len(dom), len(cod)
-    out: list[tuple[int, ...]] = []
-    if m == 0:
-        return [()]
-    img = [0] * m
-    nodes = 0
-
-    def place(x):
-        nonlocal nodes
-        for c in range(n):
-            if not q.leq[dom.hom[x][x]][cod.hom[c][c]]:
-                continue
-            ok = True
-            for x2 in range(x):
-                if not (
-                    q.leq[dom.hom[x][x2]][cod.hom[c][img[x2]]]
-                    and q.leq[dom.hom[x2][x]][cod.hom[img[x2]][c]]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nodes += 1
-            if nodes > node_cap:
-                raise SizeExceeded(
-                    f"functor enumeration exceeded {node_cap} nodes", estimate=node_cap
-                )
-            img[x] = c
-            if x + 1 == m:
-                out.append(tuple(img))
-            else:
-                place(x + 1)
-
-    place(0)
-    out.sort()
-    return out
+    """All V-functors dom -> cod, as sorted mapping tuples (`search_vfunctors`)."""
+    return search_vfunctors(dom, cod, node_cap, "functor")
 
 
 def enumerate_cocontinuous(

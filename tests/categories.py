@@ -1,7 +1,9 @@
 """Small categories shared by the oracle tests: V over each builtin quantale,
 the chains, M3, the pentagon N5, and H2; the Lukasiewicz and Heyting
-chain quantales; and the test-only helpers
-`try_cocomplete`, `is_presheaf_vector` and `hom_ij`."""
+chain quantales; the hypothesis strategy `random_categories`; and the
+test-only helpers `try_cocomplete`, `is_presheaf_vector` and `hom_ij`."""
+
+from hypothesis import strategies as st
 
 from vqcat.cocomplete import check_cocomplete
 from vqcat.errors import NotCocomplete
@@ -98,3 +100,36 @@ def is_presheaf_vector(x, values) -> bool:
 def hom_ij(dx, i, j) -> int:
     """DX(phi_i, phi_j), one entry of D(X)'s hom matrix."""
     return presheaf_hom(dx.base.quantale, dx.vectors[i], dx.vectors[j])
+
+
+def closure(q, hom):
+    """The least V-category hom above a matrix with e on the diagonal."""
+    m = len(hom)
+    hom = [
+        [q.join[hom[a][b]][q.unit] if a == b else hom[a][b] for b in range(m)]
+        for a in range(m)
+    ]
+    while True:
+        new = [
+            [q.join_of(q.mult[hom[a][c]][hom[c][b]] for c in range(m)) for b in range(m)]
+            for a in range(m)
+        ]
+        if new == hom:
+            return hom
+        hom = new
+
+
+@st.composite
+def random_categories(draw, quantales, max_objects=4):
+    """The closure of a random matrix over one of `quantales`."""
+    q = draw(st.sampled_from(quantales))
+    m = draw(st.integers(1, max_objects))
+    raw = draw(
+        st.lists(
+            st.lists(st.integers(0, q.n - 1), min_size=m, max_size=m),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    names = [f"x{a}" for a in range(m)]
+    return validate_vcategory(q, names, closure(q, raw))

@@ -258,6 +258,18 @@ def test_universal_codomain_obeys_object_cap(chain2_file, tmp_path, capsys):
     assert "vcategory C has 10 objects (cap 8)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("position", ["FILE_A", "FILE_B", "FILE_C"])
+def test_tensor_file_without_vcategory_is_bad_input(chain2_file, tmp_path, capsys, position):
+    bare = tmp_path / "bare.vcat"
+    bare.write_text("quantale V builtin two\n", encoding="utf-8")
+    files = {"FILE_A": chain2_file, "FILE_B": chain2_file, "FILE_C": chain2_file}
+    files[position] = str(bare)
+    argv = ["tensor", files["FILE_A"], files["FILE_B"], "--check-universal", files["FILE_C"]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bare} defines no vcategory\n"
+
+
 def test_tensor_factor_check_obeys_node_cap(vluk_file, capsys):
     # the factors' presheaf enumeration is capped, as in `vq check cocomplete`
     assert main(["check", "cocomplete", "--caps", "8,8,5", vluk_file]) == 3

@@ -1,6 +1,8 @@
 """The library has no runtime dependencies: every module under `src/vqcat`
 imports only the standard library and `vqcat` itself.  It also reads the
-quantale only through its tables: no module names a removed alias."""
+quantale only through its tables: no module names a removed alias.  And it
+holds one backtracking search: one function compares a counter against
+`node_cap`."""
 
 import ast
 import sys
@@ -37,6 +39,24 @@ def alias_attributes(tree):
             yield node.attr
 
 
+def capped_searches(tree):
+    """The name of every function whose own body, nested functions left
+    out, compares a counter (a plain name) against `node_cap`."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stack = list(fn.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Compare):
+                names = [n.id for n in (node.left, *node.comparators) if isinstance(n, ast.Name)]
+                if "node_cap" in names and len(names) > 1:
+                    yield fn.name
+                    break
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_only_stdlib_and_vqcat(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -63,3 +83,29 @@ def test_guard_sees_a_removed_alias():
     calls = "".join(f"q.{name}(u, v)\n" for name in ("le", "res"))
     tree = ast.parse(calls + "map(q.mul, ty, phi)\nq.hom[v][w]\n")
     assert sorted(alias_attributes(tree)) == ["le", "mul", "res"]
+
+
+def test_one_backtracking_search():
+    searches = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in capped_searches(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert len(searches) == 1, searches
+
+
+def test_guard_sees_a_second_search():
+    tree = ast.parse(
+        "def first(node_cap):\n"
+        "    nodes = 0\n"
+        "    def place():\n"
+        "        if nodes > node_cap:\n"
+        "            raise SizeExceeded\n"
+        "def second(node_cap):\n"
+        "    for count in range(9):\n"
+        "        if node_cap <= count:\n"
+        "            break\n"
+        "def unchecked(node_cap):\n"
+        "    assert node_cap > 0\n"
+    )
+    assert sorted(capped_searches(tree)) == ["place", "second"]

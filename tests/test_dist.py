@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqcat.dist import (
     Distributor,
@@ -22,8 +24,12 @@ from vqcat.dist import (
     validate_functor,
 )
 from vqcat.errors import NotAFunctor, VCatError
-from vqcat.quantale import builtin
-from vqcat.vcat import quantale_as_vcategory, validate_vcategory
+from vqcat.presheaf import enumerate_presheaves
+from vqcat.quantale import BUILTIN_NAMES, builtin
+from vqcat.tensorprod import enumerate_vfunctors
+from vqcat.vcat import discrete, opposite, quantale_as_vcategory, validate_vcategory
+
+from categories import ORACLE_CATEGORIES, oracle_category, random_categories
 
 
 def all_functors(dom, cod):
@@ -46,6 +52,62 @@ def all_distributors(dom, cod):
             yield validate_distributor(dom, cod, mat)
         except VCatError:
             continue
+
+
+def functor_mappings(dom, cod):
+    """The brute-force filter's functors, in lexicographic mapping order."""
+    return [f.mapping for f in all_functors(dom, cod)]
+
+
+def presheaves_are_functors(x):
+    v = quantale_as_vcategory(x.quantale)
+    return enumerate_presheaves(x).vectors == tuple(enumerate_vfunctors(opposite(x), v))
+
+
+ORACLE_PAIRS = [
+    (a, b)
+    for a in ORACLE_CATEGORIES
+    for b in ORACLE_CATEGORIES
+    if oracle_category(a).quantale == oracle_category(b).quantale
+    and len(oracle_category(b)) ** len(oracle_category(a)) <= 10**5
+]
+
+
+@pytest.mark.parametrize("dom, cod", ORACLE_PAIRS)
+def test_enumerate_vfunctors_matches_brute_force(dom, cod):
+    x, y = oracle_category(dom), oracle_category(cod)
+    assert enumerate_vfunctors(x, y) == functor_mappings(x, y)
+
+
+@pytest.mark.parametrize("name", ORACLE_CATEGORIES)
+def test_presheaves_are_the_functors_into_V(name):
+    assert presheaves_are_functors(oracle_category(name))
+
+
+@pytest.mark.parametrize("qname", ["two", "lukasiewicz3"])
+def test_enumerate_vfunctors_on_empty_and_non_separated(qname):
+    q = builtin(qname)
+    empty = discrete(q, ())
+    # two objects, each below the other: not separated
+    blob = validate_vcategory(q, ("p", "q"), ((q.top, q.top), (q.top, q.top)))
+    v = quantale_as_vcategory(q)
+    for dom, cod in [(empty, empty), (empty, v), (v, empty), (blob, v), (v, blob), (blob, blob)]:
+        assert enumerate_vfunctors(dom, cod) == functor_mappings(dom, cod)
+    assert enumerate_vfunctors(empty, v) == [()]
+    assert enumerate_vfunctors(v, empty) == []
+    assert presheaves_are_functors(empty) and presheaves_are_functors(blob)
+
+
+BUILTINS = [builtin(n) for n in BUILTIN_NAMES]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_enumerate_vfunctors_matches_brute_force_on_random_categories(data):
+    x = data.draw(random_categories(BUILTINS))
+    y = data.draw(random_categories([x.quantale]))
+    assert enumerate_vfunctors(x, y) == functor_mappings(x, y)
+    assert presheaves_are_functors(x)
 
 
 def test_validate_functor_witness(chain2):

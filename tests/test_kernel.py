@@ -35,7 +35,13 @@ from vqcat.vcat import (
     validate_vcategory,
 )
 
-from categories import ORACLE_CATEGORIES, heyting, lukasiewicz, oracle_category
+from categories import (
+    ORACLE_CATEGORIES,
+    heyting,
+    lukasiewicz,
+    oracle_category,
+    random_categories,
+)
 
 
 CHAINS = {
@@ -114,41 +120,8 @@ def test_kernel_matches_meet_formula_on_every_presheaf(name):
         check_tensors_and_joins(x)
 
 
-def closure(q, hom):
-    """The least V-category hom above a matrix with e on the diagonal."""
-    m = len(hom)
-    hom = [
-        [q.join[hom[a][b]][q.unit] if a == b else hom[a][b] for b in range(m)]
-        for a in range(m)
-    ]
-    while True:
-        new = [
-            [q.join_of(q.mult[hom[a][c]][hom[c][b]] for c in range(m)) for b in range(m)]
-            for a in range(m)
-        ]
-        if new == hom:
-            return hom
-        hom = new
-
-
-@st.composite
-def categories(draw, q=None):
-    if q is None:
-        q = draw(st.sampled_from(QUANTALES))
-    m = draw(st.integers(1, 4))
-    raw = draw(
-        st.lists(
-            st.lists(st.integers(0, q.n - 1), min_size=m, max_size=m),
-            min_size=m,
-            max_size=m,
-        )
-    )
-    names = [f"x{a}" for a in range(m)]
-    return validate_vcategory(q, names, closure(q, raw))
-
-
 @settings(max_examples=150, deadline=None)
-@given(categories(), st.data())
+@given(random_categories(QUANTALES), st.data())
 def test_kernel_matches_meet_formula_on_random_categories(x, data):
     q = x.quantale
     vec = st.lists(st.integers(0, q.n - 1), min_size=len(x), max_size=len(x))
@@ -164,10 +137,10 @@ def test_kernel_matches_meet_formula_on_random_categories(x, data):
 def test_weighted_colimit_is_the_sup_of_the_pushforward(data):
     # Z(colim, -) = meet_y [phi(y), Z(f y, -)] equals the meet formula of the
     # pushforward f_* phi, for any object map f and any weight
-    z = data.draw(categories())
+    z = data.draw(random_categories(QUANTALES))
     q = z.quantale
-    y = data.draw(categories(q))
-    x = data.draw(categories(q))
+    y = data.draw(random_categories([q]))
+    x = data.draw(random_categories([q]))
     f = VFunctor(y, z, tuple(data.draw(st.integers(0, len(z) - 1)) for _ in range(len(y))))
     entry = st.integers(0, q.n - 1)
     phi = Distributor(
@@ -285,7 +258,7 @@ def test_hom_matrix_matches_presheaf_hom_on_fixed_categories(name, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(categories(), st.data())
+@given(random_categories(QUANTALES), st.data())
 def test_hom_matrix_matches_presheaf_hom_on_random_vectors(x, data):
     # presheaves of x or of its opposite, or any vectors at all, of any
     # length from 0 (D of the empty category has the one vector ())

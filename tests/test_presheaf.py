@@ -30,13 +30,14 @@ from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.vcat import (
     discrete,
     is_separated,
+    opposite,
     quantale_as_vcategory,
     tensor_vcat,
     unit_category,
     validate_vcategory,
 )
 
-from categories import hom_ij, is_presheaf_vector
+from categories import hom_ij, heyting, is_presheaf_vector, lukasiewicz, poset
 
 
 def naive_presheaves(x):
@@ -89,6 +90,52 @@ def test_node_cap_raises(r422):
     )
     with pytest.raises(SizeExceeded):
         enumerate_presheaves(x, node_cap=10)
+
+
+# the least node_cap under which each presheaf enumeration succeeds; `--caps`
+# NODES means the same as long as these hold
+PRESHEAF_NODES = {
+    "V-two": 5, "Vop-two": 5, "VxV-two": 16, "DV-two": 9,
+    "V-heyting3": 16, "Vop-heyting3": 15, "VxV-heyting3": 222, "DV-heyting3": 77,
+    "V-sugihara3": 11, "Vop-sugihara3": 11, "VxV-sugihara3": 113, "DV-sugihara3": 23,
+    "V-lukasiewicz3": 16, "Vop-lukasiewicz3": 16, "VxV-lukasiewicz3": 289,
+    "DV-lukasiewicz3": 103,
+    "V-r422": 18, "Vop-r422": 18, "VxV-r422": 215, "DV-r422": 32,
+    "V-powerset_z2": 18, "Vop-powerset_z2": 18, "VxV-powerset_z2": 215, "DV-powerset_z2": 32,
+    "V-luk8": 1271,
+    "V-heyt9": 2806,
+    "bool4-two": 1098,
+    "disc10-two": 2046,
+}
+
+
+def pinned_category(name):
+    """V, V^op, V (x) V or D(V) over a builtin, V over luk8 or heyt9, the
+    2^4 poset or the 10-object discrete category over `two`."""
+    if name == "V-luk8":
+        return quantale_as_vcategory(lukasiewicz(8))
+    if name == "V-heyt9":
+        return quantale_as_vcategory(heyting(9))
+    if name == "bool4-two":
+        return poset(tuple(range(16)), lambda i, j: i & j == i)
+    if name == "disc10-two":
+        return discrete(builtin("two"), [f"c{i}" for i in range(10)])
+    kind, q = name.split("-", 1)
+    v = quantale_as_vcategory(builtin(q))
+    return {
+        "V": lambda: v,
+        "Vop": lambda: opposite(v),
+        "VxV": lambda: tensor_vcat(v, v),
+        "DV": lambda: enumerate_presheaves(v).cat,
+    }[kind]()
+
+
+@pytest.mark.parametrize("name", PRESHEAF_NODES)
+def test_presheaf_node_count_is_pinned(name):
+    x, nodes = pinned_category(name), PRESHEAF_NODES[name]
+    enumerate_presheaves(x, node_cap=nodes)
+    with pytest.raises(SizeExceeded, match=f"presheaf enumeration exceeded {nodes - 1} nodes"):
+        enumerate_presheaves(x, node_cap=nodes - 1)
 
 
 def test_yoneda_lemma_equality(chain2, v_luk):
