@@ -21,6 +21,7 @@ from functools import cached_property
 
 from .dist import Distributor, VFunctor, is_adjoint_functors
 from .errors import NoSuchColimit, NotCocomplete, NotSeparated
+from .kernel import hom_matrix
 from .presheaf import (
     DEFAULT_NODE_CAP,
     Presheaf,
@@ -66,15 +67,16 @@ class CocompleteWitness:
         return self.sup_index[self.dx.index[tuple(values)]]
 
     @cached_property
-    def support_order(self) -> tuple[int, ...]:
-        """Presheaf indices by ascending support size, ties by index."""
-        bottom = self.base.quantale.bottom
-        return tuple(
-            sorted(
-                range(len(self.dx.vectors)),
-                key=lambda i: (sum(1 for v in self.dx.vectors[i] if v != bottom), i),
-            )
-        )
+    def ideal_columns(self) -> dict[tuple[int, ...], int | None]:
+        """The column table of `tensorprod`: each theta in D(base) mapped to
+        the index of the first phi with D(base)(phi, theta) != theta(sup phi),
+        or None if there is none (theta in C).  One hom matrix of D(base)."""
+        vectors, sups = self.dx.vectors, self.sup_index
+        columns = zip(*hom_matrix(self.base.quantale, vectors, vectors))
+        return {
+            theta: next((i for i, h in enumerate(col) if h != theta[sups[i]]), None)
+            for theta, col in zip(vectors, columns)
+        }
 
 
 def check_cocomplete(

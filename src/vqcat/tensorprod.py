@@ -5,13 +5,18 @@ presheaves xi satisfying, for every pair of weights,
 
     meet_{(a,b)} [phi(a) * psi(b), xi(a,b)]  =  xi(sup phi, sup psi).
 
-The left side always dominates the right, so the membership test can stop
-scanning a pair as soon as the running meet has dropped to the target.
+One weight representable suffices.  (i) With psi = B(-, b), so sup psi = b,
+the left side is meet_a [phi(a), xi(a,b)], since xi is a presheaf: every
+column xi(-, b) lies in C_A = {theta in D(A) : D(A)(phi, theta) =
+theta(sup phi) for all phi}, and likewise every row xi(a, -) in C_B.
+(ii) Conversely, then the left side is meet_b [psi(b), meet_a [phi(a),
+xi(a,b)]] = meet_b [psi(b), xi(sup phi, b)] = xi(sup phi, sup psi).
+C_A is the witness's column table `CocompleteWitness.ideal_columns`.
 
 `build_tensor_product` does not filter D(A (x) B) with that test: by the
 Galois correspondence the ideals are exactly xi(a,b) = B(b, f a) for the
 sup-preserving f : A -> B^op, so it enumerates those maps instead.
-`galois_iso` keeps the definitional filter as the cross-check.
+`galois_iso` keeps the filter as the cross-check.
 """
 
 from __future__ import annotations
@@ -87,37 +92,30 @@ def vsup_category(
 
 
 def g_ideal_failure(wa: CocompleteWitness, wb: CocompleteWitness, xi):
-    """First weight pair (phi, psi) violating the ideal equation, or None.
+    """A weight pair (phi, psi) violating the ideal equation, or None.
 
-    xi is a value vector on tensor_vcat(A, B), pair (a,b) at index a*|B|+b.
-    Weights are scanned by ascending support size: cheap failures first.
+    xi must be a presheaf on tensor_vcat(A, B), pair (a,b) at index a*|B|+b.
+    A column xi(-, b) outside C_A gives (phi, B(-, b)) for its failing phi,
+    a row xi(a, -) outside C_B gives (A(-, a), psi): one weight of the pair
+    is always representable (module docstring, (i)-(ii)).
     """
-    q = wa.base.quantale
-    nb = len(wb.base)
-    order_b = wb.support_order
-    for i in wa.support_order:
-        phi = wa.dx.vectors[i]
-        sa = wa.sup_index[i]
-        for j in order_b:
-            psi = wb.dx.vectors[j]
-            target = xi[sa * nb + wb.sup_index[j]]
-            m = q.top
-            done = False
-            for a, va in enumerate(phi):
-                row = a * nb
-                for b, vb in enumerate(psi):
-                    m = q.meet[m][q.hom[q.mult[va][vb]][xi[row + b]]]
-                    if q.leq[m][target]:
-                        done = True
-                        break
-                if done:
-                    break
-            if not done and m != target:
-                return phi, psi
+    xi = tuple(xi)
+    a, b = wa.base, wb.base
+    nb = len(b)
+    for y in range(nb):
+        i = wa.ideal_columns[xi[y::nb]]
+        if i is not None:
+            return wa.dx.vectors[i], tuple(row[y] for row in b.hom)
+    for x in range(len(a)):
+        j = wb.ideal_columns[xi[x * nb : (x + 1) * nb]]
+        if j is not None:
+            return tuple(row[x] for row in a.hom), wb.dx.vectors[j]
     return None
 
 
 def is_g_ideal(wa: CocompleteWitness, wb: CocompleteWitness, xi) -> bool:
+    """Whether the presheaf xi on tensor_vcat(A, B) is an ideal: every column
+    in C_A and every row in C_B (`g_ideal_failure`)."""
     return g_ideal_failure(wa, wb, xi) is None
 
 
@@ -326,7 +324,6 @@ def galois_iso(
     if wb is None:
         wb = _witness_for(b, "right factor", node_cap)
     bop = opposite(b)
-    wbop = _witness_for(bop, "opposite of right factor", node_cap)
     funs = enumerate_cocontinuous(wa, bop, node_cap)
     ab = tensor_vcat(a, b)
     dab = enumerate_presheaves(ab, node_cap)
