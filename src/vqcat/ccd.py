@@ -35,17 +35,15 @@ class TotallyBelowWitness:
 
 def totally_below(wa: CocompleteWitness) -> TotallyBelowWitness:
     """Left adjoint of sup: t(a) = meet_psi [A(a, sup psi), psi], the one
-    candidate, is t(a) iff sup t(a) = a.  Raises NotCCD with the first
-    object that fails.
+    candidate (`PresheafCategory.left_adjoints` with F = sup), is t(a) iff
+    sup t(a) = a.  Raises NotCCD with the first object that fails.
     """
     a_cat = wa.base
-    t = []
-    for a in range(len(a_cat)):
-        down = wa.dx.left_adjoint_candidate(a_cat.hom[a][s] for s in wa.sup_index)
+    t = wa.dx.left_adjoints(wa.sup_index, a_cat.hom)
+    for a, down in enumerate(t):
         if wa.sup_index[down] != a:
             raise NotCCD("no totally-below presheaf", obj=a_cat.objects[a])
-        t.append(down)
-    return TotallyBelowWitness(wa, tuple(t))
+    return TotallyBelowWitness(wa, t)
 
 
 def is_ccd(x: VCategory, wa: CocompleteWitness | None = None) -> bool:
@@ -171,10 +169,8 @@ def ccd_closure_check(
     if not (is_ccd(a, wa) and is_ccd(b, wb)):
         raise NotCocompleteInput("closure check expects completely distributive factors")
     t = build_tensor_product(a, b, wa, wb, node_cap=node_cap)
-    if t.witness is None or not is_ccd(t.carrier, t.witness):
+    if not is_ccd(t.carrier, t.witness):
         return False
     # the reflector's left adjoint at k: its one candidate must reflect to k
-    return all(
-        t.q_mapping[t.dab.left_adjoint_candidate(hk[r] for r in t.q_mapping)] == k
-        for k, hk in enumerate(t.carrier.hom)
-    )
+    candidates = t.dab.left_adjoints(t.q_mapping, t.carrier.hom)
+    return all(t.q_mapping[c] == k for k, c in enumerate(candidates))

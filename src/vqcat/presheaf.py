@@ -52,21 +52,26 @@ class PresheafCategory:
             self._cat = presheaf_subcategory(self.base, self.vectors)
         return self._cat
 
-    def left_adjoint_candidate(self, row):
-        """The index of l = meet_k [row_k, psi_k], the one presheaf that can
-        have DX(l, psi_k) = row_k for every k: any such presheaf lies below
-        each cotensor, and l's row is at least `row`.
+    def left_adjoints(self, labels, hom) -> tuple[int, ...]:
+        """For F : D(X) -> C given by `labels` (the index of F psi for each
+        presheaf psi) and C's hom matrix, the index of the one candidate
+        l_c = meet_psi [C(c, F psi), psi] for each object c: any l with
+        DX(l, psi) = C(c, F psi) for every psi lies below each cotensor,
+        and l_c's row is at least C(c, F -).
 
-        If row_k = C(c, F psi_k) for a V-functor F with F G = 1 for a right
-        adjoint G (sup, the reflector), F has a left adjoint at c exactly
-        when F l = c, so the caller decides by one evaluation.
+        [v, -] preserves meets, so l_c = meet_k [C(c, k), M_k], M_k the
+        pointwise meet of the fiber {psi : F psi = k}: one pass over D(X)
+        and one `hom_matrix`.  If F G = 1 for a right adjoint G (sup, the
+        reflector), F has a left adjoint at c exactly when F l_c = c, so the
+        caller decides by one evaluation.
         """
         q = self.base.quantale
-        cand = [q.top] * len(self.base)
-        for v, psi in zip(tuple(row), self.vectors, strict=True):
-            for x, w in enumerate(psi):
-                cand[x] = q.meet[cand[x]][q.hom[v][w]]
-        return self.index[tuple(cand)]
+        top = (q.top,) * len(self.base)
+        fibers = [[top] for _ in hom]
+        for k, psi in zip(labels, self.vectors, strict=True):
+            fibers[k].append(psi)
+        meets = [tuple(q.meet_of(set(col)) for col in zip(*fiber)) for fiber in fibers]
+        return tuple(map(self.index.__getitem__, hom_matrix(q, hom, zip(*meets))))
 
 
 def presheaf_hom(q: Quantale, phi, psi) -> int:
@@ -300,24 +305,19 @@ def inverter(f: VFunctor, g: VFunctor):
 
 
 def cauchy_completion(x: VCategory, dx: PresheafCategory):
-    """Inv(D y, D_forall y) computed by the direct pointwise comparison.
+    """Inv(D y, D_forall y): the phi in DX with a right adjoint.
 
-    phi is kept iff DX(psi, phi) <= join_x DX(psi, y x) * phi(x) for all psi;
-    this avoids materializing D(DX), and only the kept square of DX is built.
-    Returns (subcategory of DX, indices).
+    That is DX(psi, phi) <= join_x DX(psi, y x) * phi(x) for every psi.  The
+    instance psi = phi, e <= join_x DX(phi, y x) * phi(x), is enough: times
+    DX(psi, phi) it gives every other psi, as DX(psi, phi) * DX(phi, y x) <=
+    DX(psi, y x).  The table DX(phi, y x) is one `hom_matrix`, and only the
+    kept square of DX is built.  Returns (subcategory of DX, indices).
     """
     q = x.quantale
-    m = len(x)
-    ycols = [tuple(x.hom[a][b] for a in range(m)) for b in range(m)]
-    to_y = [tuple(presheaf_hom(q, psi, col) for col in ycols) for psi in dx.vectors]
+    to_y = hom_matrix(q, dx.vectors, zip(*x.hom))
     kept = tuple(
         i
-        for i, phi in enumerate(dx.vectors)
-        if all(
-            q.leq[presheaf_hom(q, psi, phi)][
-                q.join_of(q.mult[t][v] for t, v in zip(ty, phi))
-            ]
-            for psi, ty in zip(dx.vectors, to_y)
-        )
+        for i, (phi, ty) in enumerate(zip(dx.vectors, to_y))
+        if q.leq[q.unit][q.join_of(q.mult[t][v] for t, v in zip(ty, phi))]
     )
     return presheaf_subcategory(x, (dx.vectors[i] for i in kept)), kept

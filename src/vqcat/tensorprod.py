@@ -39,7 +39,6 @@ from .errors import (
     NotCocompleteInput,
     NotSeparated,
     QuantaleMismatch,
-    SizeExceeded,
 )
 from .kernel import hom_matrix
 from .presheaf import (
@@ -124,11 +123,11 @@ class TensorProduct:
     """The carrier of A (x) B with its reflector and universal bimorphism.
 
     Only the carrier, the full subcategory of D(A (x) B) on the ideals, is
-    built eagerly.  D(A (x) B) (`dab`), the inclusion as `ideal_index`, the
-    reflector as `q_mapping`, the bimorphism `i` and the carrier's
-    cocompleteness `witness` are computed on first access and cached.
-    Reading `dab`, `ideal_index` or `q_mapping` enumerates D(A (x) B) under
-    `node_cap` and may raise SizeExceeded; none of them builds its hom
+    built eagerly.  D(A (x) B) (`dab`), the reflector as `q_mapping`, the
+    bimorphism `i` and the carrier's cocompleteness `witness` are computed
+    on first access and cached.  Reading `dab` or `q_mapping` enumerates
+    D(A (x) B), and reading `witness` enumerates D(carrier), each under
+    `node_cap`, and may raise SizeExceeded; none of them builds the hom
     matrix `dab.cat`.
     """
 
@@ -164,23 +163,15 @@ class TensorProduct:
         return enumerate_presheaves(self.ab, self.node_cap)
 
     @cached_property
-    def ideal_index(self) -> tuple[int, ...]:
-        """Carrier index -> dab index."""
-        return tuple(self.dab.index[xi] for xi in self.ideal_vectors)
-
-    @cached_property
     def q_mapping(self) -> tuple[int, ...]:
         """Dab index -> carrier index, the reflector."""
         return tuple(self.reflect(xi) for xi in self.dab.vectors)
 
     @cached_property
-    def witness(self) -> CocompleteWitness | None:
-        """Cocompleteness witness of the carrier; None if its presheaf
-        enumeration exceeds `node_cap`."""
-        try:
-            return check_cocomplete(self.carrier, node_cap=self.node_cap)
-        except SizeExceeded:
-            return None
+    def witness(self) -> CocompleteWitness:
+        """Cocompleteness witness of the carrier, its presheaves enumerated
+        under `node_cap`."""
+        return check_cocomplete(self.carrier, node_cap=self.node_cap)
 
 
 def _witness_for(x: VCategory, name: str, node_cap: int) -> CocompleteWitness:
@@ -282,8 +273,6 @@ def check_universal_property(
         raise QuantaleMismatch("test codomain is over another quantale than the factors")
     if t is None:
         t = build_tensor_product(a, b, node_cap=node_cap)
-    if t.witness is None:
-        raise SizeExceeded("carrier witness unavailable", estimate=len(t.carrier))
     _witness_for(c, "test codomain", node_cap)
     bimorphs = [
         f

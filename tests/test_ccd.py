@@ -137,6 +137,18 @@ def test_ccd_closure_chain2(chain2):
     assert ccd_closure_check(chain2, chain2)
 
 
+def candidate_fold(dx, row):
+    """The index of meet_k [row_k, psi_k] over the presheaves psi_k of D(X),
+    folded one presheaf at a time: the definitional form of the candidates
+    that `PresheafCategory.left_adjoints` reads off the fiber meets."""
+    q = dx.base.quantale
+    cand = [q.top] * len(dx.base)
+    for v, psi in zip(row, dx.vectors, strict=True):
+        for x, w in enumerate(psi):
+            cand[x] = q.meet[cand[x]][q.hom[v][w]]
+    return dx.index[tuple(cand)]
+
+
 def search_totally_below(wa):
     """Per object a, the first presheaf t with DA(t, psi) = A(a, sup psi) for
     every psi, or None: the per-object search over D(A), with no hom matrix."""
@@ -188,7 +200,7 @@ def test_totally_below_row_lookup_matches_search(name):
     found = search_totally_below(w)
     rows = [tuple(x.hom[a][s] for s in w.sup_index) for a in range(len(x))]
     assert [row_object(w.dx.cat, row) for row in rows] == found
-    cands = [w.dx.left_adjoint_candidate(row) for row in rows]
+    cands = w.dx.left_adjoints(w.sup_index, x.hom)
     assert [c if w.sup_index[c] == a else None for a, c in enumerate(cands)] == found
     if None in found:
         with pytest.raises(NotCCD) as exc:
@@ -213,7 +225,7 @@ def test_reflector_left_adjoint_row_lookup_matches_search(name):
     found = search_reflector_left_adjoint(t)
     rows = [tuple(hk[r] for r in t.q_mapping) for hk in t.carrier.hom]
     assert [row_object(t.dab.cat, row) for row in rows] == found
-    cands = [t.dab.left_adjoint_candidate(row) for row in rows]
+    cands = t.dab.left_adjoints(t.q_mapping, t.carrier.hom)
     assert [c if t.q_mapping[c] == k else None for k, c in enumerate(cands)] == found
     assert (name == "H2") == (None in found)
     if is_ccd(x):
@@ -222,17 +234,40 @@ def test_reflector_left_adjoint_row_lookup_matches_search(name):
 
 @pytest.mark.parametrize("name", ORACLE_CATEGORIES)
 def test_presheaf_row_object_matches_matrix_lookup(name):
-    # the candidate of a hom row of D(X) is its object, and a row one entry
-    # away belongs to no object or to its candidate
+    # the identity of D(X) is its own left adjoint: the candidate of each hom
+    # row is its object; a row one entry away belongs to no object or to its
+    # candidate
     dx = enumerate_presheaves(oracle_category(name))
     dcat = dx.cat
     n = dx.base.quantale.n
+    assert dx.left_adjoints(range(len(dx)), dcat.hom) == tuple(range(len(dx)))
     for k, row in enumerate(dcat.hom):
-        assert dx.left_adjoint_candidate(row) == k
+        assert candidate_fold(dx, row) == k
         for p in range(len(row)):
             for v in range(n):
                 other = row[:p] + (v,) + row[p + 1 :]
-                assert row_object(dcat, other) in (None, dx.left_adjoint_candidate(other))
+                assert row_object(dcat, other) in (None, candidate_fold(dx, other))
+
+
+@pytest.mark.parametrize(
+    "labelling, name",
+    [(f, n) for f in ("sup", "const") for n in ORACLE_CATEGORIES]
+    + [("q", n) for n in ORACLE_CATEGORIES if n not in ("M3", "N5")],
+)
+def test_left_adjoints_match_candidate_fold(labelling, name):
+    # the fiber meets give the per-presheaf fold's candidate for F = sup on
+    # D(A), for F = the reflector on D(A (x) A), and for a constant F, whose
+    # other fibers are empty
+    x = oracle_category(name)
+    if labelling != "q":
+        w = check_cocomplete(x)
+        dx, hom = w.dx, x.hom
+        labels = w.sup_index if labelling == "sup" else (0,) * len(dx)
+    else:
+        t = build_tensor_product(x, x)
+        dx, labels, hom = t.dab, t.q_mapping, t.carrier.hom
+    expected = tuple(candidate_fold(dx, tuple(hc[k] for k in labels)) for hc in hom)
+    assert dx.left_adjoints(labels, hom) == expected
 
 
 DECISIONS = {
@@ -326,6 +361,21 @@ def test_node_cap_reaches_the_factors_witness():
             decide(x, node_cap=5)
     with pytest.raises(SizeExceeded, match="presheaf enumeration exceeded 5 nodes"):
         ccd_closure_check(x, x, node_cap=5)
+
+
+@pytest.mark.parametrize("cap", range(19, 30))
+def test_ccd_closure_check_raises_when_the_carrier_search_is_capped(cap):
+    # caps 19 to 29 let the factors' and the Galois searches finish and stop
+    # the carrier's presheaf search: a capped search is no verdict
+    x = oracle_category("chain3")
+    with pytest.raises(SizeExceeded, match=f"presheaf enumeration exceeded {cap} nodes"):
+        ccd_closure_check(x, x, node_cap=cap)
+
+
+def test_ccd_closure_on_the_frontier():
+    # the chain5 (x) chain5 carrier has 70 objects and 9,304 presheaves
+    chain5 = poset(tuple(f"c{i}" for i in range(5)), lambda i, j: i <= j)
+    assert ccd_closure_check(chain5, chain5)
 
 
 def boolean_algebra(k):

@@ -1,8 +1,10 @@
 """The library has no runtime dependencies: every module under `src/vqcat`
 imports only the standard library and `vqcat` itself.  It also reads the
-quantale only through its tables: no module names a removed alias.  And it
+quantale only through its tables: no module names a removed alias.  It
 holds one backtracking search: one function compares a counter against
-`node_cap`."""
+`node_cap`.  And it takes every hom of presheaf vectors from
+`kernel.hom_matrix`: no module calls the scalar `presheaf_hom`, which the
+tests keep as an oracle."""
 
 import ast
 import sys
@@ -37,6 +39,20 @@ def alias_attributes(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in REMOVED_ALIASES:
             yield node.attr
+
+
+def presheaf_hom_uses(tree):
+    """The line of every read of the name `presheaf_hom`, bare or as an
+    attribute: a call, or a reference passed on to be called."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name == "presheaf_hom":
+            yield node.lineno
 
 
 def capped_searches(tree):
@@ -83,6 +99,24 @@ def test_guard_sees_a_removed_alias():
     calls = "".join(f"q.{name}(u, v)\n" for name in ("le", "res"))
     tree = ast.parse(calls + "map(q.mul, ty, phi)\nq.hom[v][w]\n")
     assert sorted(alias_attributes(tree)) == ["le", "mul", "res"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_calls_no_scalar_presheaf_hom(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert list(presheaf_hom_uses(tree)) == []
+
+
+def test_guard_sees_a_presheaf_hom_call():
+    tree = ast.parse(
+        "from .presheaf import presheaf_hom\n"
+        "def presheaf_hom(q, phi, psi):\n"
+        "    return q.top\n"
+        "presheaf_hom(q, u, w)\n"
+        "presheaf.presheaf_hom(q, u, w)\n"
+        "map(partial(presheaf_hom, q), us, ws)\n"
+    )
+    assert sorted(presheaf_hom_uses(tree)) == [4, 5, 6]
 
 
 def test_one_backtracking_search():

@@ -1,9 +1,11 @@
 """Presheaf enumeration, Yoneda, the monad data, inverters, Cauchy completion."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
+import vqcat
 from vqcat.dist import (
     functor_hom,
     identity_dist,
@@ -27,6 +29,7 @@ from vqcat.presheaf import (
     yoneda,
 )
 from vqcat.quantale import BUILTIN_NAMES, builtin
+from vqcat.textio import parse_files
 from vqcat.vcat import (
     discrete,
     is_separated,
@@ -37,7 +40,17 @@ from vqcat.vcat import (
     validate_vcategory,
 )
 
-from categories import hom_ij, heyting, is_presheaf_vector, lukasiewicz, poset
+from categories import (
+    ORACLE_CATEGORIES,
+    hom_ij,
+    heyting,
+    is_presheaf_vector,
+    lukasiewicz,
+    oracle_category,
+    poset,
+)
+
+DATA = Path(vqcat.__file__).parent / "data"
 
 
 def naive_presheaves(x):
@@ -255,16 +268,29 @@ def test_cauchy_completion_chain2(chain2):
     assert sorted(kept) == sorted(y.mapping)
 
 
-def test_cauchy_completion_unit_luk3(luk3):
-    # over the unit category, Cauchy completion inside D(1) = V keeps exactly
-    # the inverter of (Dy, D_forall y) computed from the definitions
-    one = unit_category(luk3)
-    dx = enumerate_presheaves(one)
+CAUCHY_CASES = (
+    [(f"unit-{n}", unit_category(builtin(n))) for n in BUILTIN_NAMES]
+    + [(n, oracle_category(n)) for n in ORACLE_CATEGORIES]
+    + [
+        (f"{path.stem}.{name}", x)
+        for path in sorted(DATA.glob("*.vcat"))
+        for name, x in parse_files([str(path)]).vcats.items()
+    ]
+)
+
+
+@pytest.mark.parametrize("x", [x for _, x in CAUCHY_CASES], ids=[i for i, _ in CAUCHY_CASES])
+def test_cauchy_completion_matches_inverter(x):
+    # the unit inequality keeps exactly the inverter of (D y, D_forall y)
+    # computed from the definitions on D(DX), non-integral quantales and
+    # non-separated or non-cocomplete X included
+    dx = enumerate_presheaves(x)
     ddx = enumerate_presheaves(dx.cat)
-    y = yoneda(one, dx)
-    sub, kept = cauchy_completion(one, dx)
-    _, kept2 = inverter(D_on_functor(y, dx, ddx), D_all(y, dx, ddx))
-    assert tuple(kept) == tuple(kept2)
+    y = yoneda(x, dx)
+    sub, kept = cauchy_completion(x, dx)
+    inv, kept2 = inverter(D_on_functor(y, dx, ddx), D_all(y, dx, ddx))
+    assert kept == kept2
+    assert sub.hom == inv.hom
 
 
 def test_cauchy_discrete_two(two):

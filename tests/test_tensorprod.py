@@ -215,7 +215,8 @@ def test_build_enumerates_no_presheaves(m3, monkeypatch):
     assert bases == []
     # the carrier's presheaf search runs only when the witness is read, and
     # is size-guarded; D(A (x) B) is enumerated only when dab is read
-    assert t.witness is None
+    with pytest.raises(SizeExceeded, match="presheaf enumeration exceeded 10000 nodes"):
+        t.witness
     assert bases == [t.carrier]
     with pytest.raises(SizeExceeded):
         t.dab
@@ -308,12 +309,12 @@ def test_reflector_of_bottom_is_least_ideal(t_chain2):
 def test_reflector_adjoint_to_inclusion(t_chain2):
     # q(theta) <= xi in the carrier iff theta <= xi in D(A(x)B)
     t = t_chain2
-    assert t.q_mapping[t.ideal_index[0]] == 0
+    assert t.q_mapping[t.dab.index[t.ideal_vectors[0]]] == 0
     dcat = t.dab.cat
     for di in range(len(t.dab)):
         for k in range(len(t.carrier)):
             lhs = t.carrier.hom[t.q_mapping[di]][k]
-            rhs = dcat.hom[di][t.ideal_index[k]]
+            rhs = dcat.hom[di][t.dab.index[t.ideal_vectors[k]]]
             assert lhs == rhs
 
 
