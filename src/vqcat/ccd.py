@@ -78,12 +78,11 @@ def ccd_reflector(ta: TotallyBelowWitness, tb: TotallyBelowWitness, values):
     return tuple(out)
 
 
-def dual_object(
-    wa: CocompleteWitness, node_cap: int = DEFAULT_NODE_CAP
-):
-    """Sup-map category into V, with its own cocompleteness witness."""
-    v = quantale_as_vcategory(wa.base.quantale)
-    cat, funs = vsup_category(wa, v, node_cap)
+def dual_object(a: VCategory, node_cap: int = DEFAULT_NODE_CAP):
+    """Sup-map category of the separated cocomplete a into V, with its own
+    cocompleteness witness."""
+    v = quantale_as_vcategory(a.quantale)
+    cat, funs = vsup_category(a, v, node_cap)
     return cat, funs, check_cocomplete(cat, node_cap=node_cap)
 
 
@@ -100,8 +99,8 @@ def is_nuclear(
     """
     if wa is None:
         wa = check_cocomplete(x, node_cap=node_cap)
-    dual, funs, wdual = dual_object(wa, node_cap)
-    h_cat, h_funs = vsup_category(wa, x, node_cap)
+    dual, funs, wdual = dual_object(x, node_cap)
+    h_cat, h_funs = vsup_category(x, x, node_cap)
     h_index = {f.mapping: k for k, f in enumerate(h_funs)}
     t = build_tensor_product(x, dual, wa, wdual, node_cap=node_cap)
     if len(t.carrier) != len(h_cat):
@@ -120,7 +119,7 @@ def is_nuclear(
     except NoSuchColimit:
         return False
     beta_fun = VFunctor(t.ab, h_cat, tuple(beta))
-    if not is_bimorphism(beta_fun, t.wa, t.wb):
+    if not is_bimorphism(beta_fun, x, dual):
         return False
     try:
         big = extend_bimorphism(t, beta_fun)
@@ -169,7 +168,7 @@ def ccd_closure_check(
     if not (is_ccd(a, wa) and is_ccd(b, wb)):
         raise NotCocompleteInput("closure check expects completely distributive factors")
     t = build_tensor_product(a, b, wa, wb, node_cap=node_cap)
-    if not is_ccd(t.carrier, t.witness):
+    if not is_ccd(t.carrier, check_cocomplete(t.carrier, node_cap=node_cap)):
         return False
     # the reflector's left adjoint at k: its one candidate must reflect to k
     candidates = t.dab.left_adjoints(t.q_mapping, t.carrier.hom)

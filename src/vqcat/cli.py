@@ -138,8 +138,11 @@ def _caps(args):
         caps = tuple(int(x) for x in args.caps.split(","))
     except ValueError:
         caps = ()
-    if len(caps) != 3:
-        print("vq: error: --caps expects three integers V,OBJ,NODES", file=sys.stderr)
+    if len(caps) != 3 or min(caps) < 0:
+        print(
+            "vq: error: --caps expects three non-negative integers V,OBJ,NODES",
+            file=sys.stderr,
+        )
         raise SystemExit(64)
     return caps
 

@@ -9,9 +9,11 @@ colimit as the supremum of the pushforward `apply_D` without computing the
 pushforward.  `check_cocomplete` tabulates the
 supremum for every presheaf; `sup_of` finds it for a single vector, which
 keeps large but known-cocomplete codomains (functor categories) usable
-without enumerating their presheaves.  A map is cocontinuous exactly when it
-has the right adjoint g(c) = sup B(f-, c), so `is_cocontinuous` computes g
-and checks the one hom equality B(f-, -) = A(-, g-).
+without enumerating their presheaves.  Out of a separated cocomplete A, a
+map f : A -> B is cocontinuous exactly when it is a left adjoint, that is
+when every B(f-, c) is a representable presheaf A(-, g c).
+`right_adjoint` finds each such column among A's columns, and
+`is_cocontinuous` asks only whether it found them all; neither needs D(A).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dist import Distributor, VFunctor, is_adjoint_functors
+from .dist import Distributor, VFunctor
 from .errors import NoSuchColimit, NotCocomplete, NotSeparated
 from .kernel import hom_matrix
 from .presheaf import (
@@ -62,9 +64,6 @@ class CocompleteWitness:
     base: VCategory
     dx: PresheafCategory
     sup_index: tuple[int, ...]  # D(base) object index -> base object index
-
-    def sup_vector(self, values) -> int:
-        return self.sup_index[self.dx.index[tuple(values)]]
 
     @cached_property
     def ideal_columns(self) -> dict[tuple[int, ...], int | None]:
@@ -169,27 +168,23 @@ def left_kan(j: VFunctor, f: VFunctor) -> VFunctor:
     return weighted_colimit(weight, f)
 
 
-def right_adjoint(f: VFunctor, wa: CocompleteWitness) -> VFunctor:
-    """Right adjoint of a cocontinuous f, as Lan_f(id): g(b) = sup B(f-, b).
+def right_adjoint(f: VFunctor) -> VFunctor | None:
+    """The right adjoint g of f : A -> B, or None if f has none.
 
-    Raises KeyError when some B(f-, b) is not a presheaf on A.
+    f -| g iff B(f x, c) = A(x, g c) for all x and c, so g(c) is the object
+    whose column A(-, g c) equals B(f-, c); on a separated A it is unique.
+    Such a g makes f a V-functor, so a map that is not one gets None.
     """
     a, b = f.dom, f.cod
-    mapping = tuple(
-        wa.sup_vector(tuple(b.hom[f.mapping[x]][c] for x in range(len(a))))
-        for c in range(len(b))
-    )
+    columns = {col: x for x, col in enumerate(zip(*a.hom))}
+    mapping = tuple(map(columns.get, zip(*map(b.hom.__getitem__, f.mapping))))
+    # an empty A has no columns at all, so zip yields none for B's objects
+    if None in mapping or len(mapping) != len(b):
+        return None
     return VFunctor(b, a, mapping)
 
 
-def is_cocontinuous(f: VFunctor, wa: CocompleteWitness) -> bool:
-    """f preserves all suprema, i.e. has the right adjoint g(c) = sup B(f-, c).
-
-    A map whose B(f-, c) is no presheaf is not a V-functor, hence not
-    cocontinuous.
-    """
-    try:
-        g = right_adjoint(f, wa)
-    except KeyError:
-        return False
-    return is_adjoint_functors(f, g)
+def is_cocontinuous(f: VFunctor) -> bool:
+    """f preserves all suprema, its domain being separated cocomplete: it is
+    a left adjoint (`right_adjoint`)."""
+    return right_adjoint(f) is not None

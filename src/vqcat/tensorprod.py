@@ -63,26 +63,23 @@ def enumerate_vfunctors(dom: VCategory, cod: VCategory, node_cap: int = DEFAULT_
     return search_vfunctors(dom, cod, node_cap, "functor")
 
 
-def enumerate_cocontinuous(
-    wa: CocompleteWitness, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP
-):
-    """All sup-preserving V-functors from wa.base to cod."""
+def enumerate_cocontinuous(a: VCategory, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP):
+    """All sup-preserving V-functors a -> cod; a must be separated cocomplete."""
     return [
         f
-        for m in enumerate_vfunctors(wa.base, cod, node_cap)
-        for f in [VFunctor(wa.base, cod, m)]
-        if is_cocontinuous(f, wa)
+        for m in enumerate_vfunctors(a, cod, node_cap)
+        for f in [VFunctor(a, cod, m)]
+        if is_cocontinuous(f)
     ]
 
 
-def vsup_category(
-    wa: CocompleteWitness, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP
-):
-    """The category of sup-preserving maps wa.base -> cod with the functor hom.
+def vsup_category(a: VCategory, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP):
+    """The category of sup-preserving maps a -> cod with the functor hom; a
+    must be separated cocomplete.
 
     Returns (category, functors); functors are in lexicographic mapping order.
     """
-    funs = enumerate_cocontinuous(wa, cod, node_cap)
+    funs = enumerate_cocontinuous(a, cod, node_cap)
     objects = tuple(
         "[" + ",".join(cod.objects[c] for c in f.mapping) + "]" for f in funs
     )
@@ -123,12 +120,10 @@ class TensorProduct:
     """The carrier of A (x) B with its reflector and universal bimorphism.
 
     Only the carrier, the full subcategory of D(A (x) B) on the ideals, is
-    built eagerly.  D(A (x) B) (`dab`), the reflector as `q_mapping`, the
-    bimorphism `i` and the carrier's cocompleteness `witness` are computed
-    on first access and cached.  Reading `dab` or `q_mapping` enumerates
-    D(A (x) B), and reading `witness` enumerates D(carrier), each under
-    `node_cap`, and may raise SizeExceeded; none of them builds the hom
-    matrix `dab.cat`.
+    built eagerly.  D(A (x) B) (`dab`), the reflector as `q_mapping` and the
+    bimorphism `i` are computed on first access and cached.  Reading `dab`
+    or `q_mapping` enumerates D(A (x) B) under `node_cap` and may raise
+    SizeExceeded; neither builds the hom matrix `dab.cat`.
     """
 
     wa: CocompleteWitness
@@ -136,7 +131,7 @@ class TensorProduct:
     ab: VCategory  # tensor_vcat(A, B)
     ideal_vectors: tuple[tuple[int, ...], ...]  # carrier index -> ideal on A (x) B
     carrier: VCategory
-    node_cap: int  # for dab and witness
+    node_cap: int  # for dab
 
     def reflect(self, values) -> int:
         """Carrier index of q xi, the colimit of `i` weighted by xi:
@@ -166,12 +161,6 @@ class TensorProduct:
     def q_mapping(self) -> tuple[int, ...]:
         """Dab index -> carrier index, the reflector."""
         return tuple(self.reflect(xi) for xi in self.dab.vectors)
-
-    @cached_property
-    def witness(self) -> CocompleteWitness:
-        """Cocompleteness witness of the carrier, its presheaves enumerated
-        under `node_cap`."""
-        return check_cocomplete(self.carrier, node_cap=self.node_cap)
 
 
 def _witness_for(x: VCategory, name: str, node_cap: int) -> CocompleteWitness:
@@ -221,7 +210,7 @@ def build_tensor_product(
     ideal_vectors = tuple(
         sorted(
             tuple(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))
-            for f in enumerate_cocontinuous(wa, opposite(b), node_cap)
+            for f in enumerate_cocontinuous(a, opposite(b), node_cap)
         )
     )
     carrier = presheaf_subcategory(ab, ideal_vectors)
@@ -233,19 +222,17 @@ def reflector_q(t: TensorProduct, values):
     return t.ideal_vectors[t.reflect(tuple(values))]
 
 
-def is_bimorphism(
-    f: VFunctor, wa: CocompleteWitness, wb: CocompleteWitness
-) -> bool:
-    """Cocontinuity in each variable separately, the other one frozen."""
-    a, b = wa.base, wb.base
+def is_bimorphism(f: VFunctor, a: VCategory, b: VCategory) -> bool:
+    """Cocontinuity in each variable separately, the other one frozen; f is
+    a map out of tensor_vcat(a, b), a and b separated cocomplete."""
     nb = len(b)
     for y in range(nb):
         part = VFunctor(a, f.cod, tuple(f.mapping[x * nb + y] for x in range(len(a))))
-        if not is_cocontinuous(part, wa):
+        if not is_cocontinuous(part):
             return False
     for x in range(len(a)):
         part = VFunctor(b, f.cod, tuple(f.mapping[x * nb + y] for y in range(nb)))
-        if not is_cocontinuous(part, wb):
+        if not is_cocontinuous(part):
             return False
     return True
 
@@ -268,7 +255,11 @@ def check_universal_property(
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> bool:
     """Restriction along i and extension are inverse hom-preserving bijections
-    between sup-preserving maps on the carrier and two-variable bimorphisms."""
+    between sup-preserving maps on the carrier and two-variable bimorphisms.
+
+    The carrier, a tensor of separated cocomplete factors, is itself
+    separated cocomplete, so its sup-maps are enumerated without D(carrier).
+    """
     if c.quantale != a.quantale:
         raise QuantaleMismatch("test codomain is over another quantale than the factors")
     if t is None:
@@ -278,9 +269,9 @@ def check_universal_property(
         f
         for m in enumerate_vfunctors(t.ab, c, node_cap)
         for f in [VFunctor(t.ab, c, m)]
-        if is_bimorphism(f, t.wa, t.wb)
+        if is_bimorphism(f, a, b)
     ]
-    cocont = {f.mapping for f in enumerate_cocontinuous(t.witness, c, node_cap)}
+    cocont = {f.mapping for f in enumerate_cocontinuous(t.carrier, c, node_cap)}
     if len(bimorphs) != len(cocont):
         return False
     extensions = [extend_bimorphism(t, g) for g in bimorphs]
@@ -313,7 +304,7 @@ def galois_iso(
     if wb is None:
         wb = _witness_for(b, "right factor", node_cap)
     bop = opposite(b)
-    funs = enumerate_cocontinuous(wa, bop, node_cap)
+    funs = enumerate_cocontinuous(a, bop, node_cap)
     ab = tensor_vcat(a, b)
     dab = enumerate_presheaves(ab, node_cap)
     ideal = [xi for xi in dab.vectors if is_g_ideal(wa, wb, xi)]
@@ -348,23 +339,17 @@ def galois_iso(
     )
 
 
-def star_autonomy_check(
-    a: VCategory,
-    wa: CocompleteWitness | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> bool:
+def star_autonomy_check(a: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """Double dualization into V-opposite is inverted by evaluation.
 
     A* = sup-maps(A, V^op); evaluation a |-> (g |-> g a) must be an
-    isomorphism of A onto A**.
+    isomorphism of A onto A**.  A* is separated cocomplete like every
+    sup-map category into V^op, so only A itself is checked.
     """
-    if wa is None:
-        wa = _witness_for(a, "category", node_cap)
-    q = a.quantale
-    vop = opposite(quantale_as_vcategory(q))
-    a1, f1 = vsup_category(wa, vop, node_cap)
-    w1 = _witness_for(a1, "first dual", node_cap)
-    a2, f2 = vsup_category(w1, vop, node_cap)
+    _witness_for(a, "category", node_cap)
+    vop = opposite(quantale_as_vcategory(a.quantale))
+    a1, f1 = vsup_category(a, vop, node_cap)
+    a2, f2 = vsup_category(a1, vop, node_cap)
     index2 = {g.mapping: k for k, g in enumerate(f2)}
     if len(a2) != len(a):
         return False

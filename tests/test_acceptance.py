@@ -297,8 +297,7 @@ def test_criterion_8_galois_iso(announce):
     ok = True
     for a, b in itertools.product(cats, repeat=2):
         ok = ok and galois_iso(a, b)
-        wa = check_cocomplete(a)
-        count = len(enumerate_cocontinuous(wa, opposite(b)))
+        count = len(enumerate_cocontinuous(a, opposite(b)))
         ok = ok and count == len(build_tensor_product(a, b).carrier)
     vl = quantale_as_vcategory(builtin("lukasiewicz3"))
     ok = ok and galois_iso(vl, vl)

@@ -113,7 +113,7 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 64
 
 
-@pytest.mark.parametrize("caps", ["8,8", "a,b,c", "8,8,1e6"])
+@pytest.mark.parametrize("caps", ["8,8", "a,b,c", "8,8,1e6", "8,8,-5", "-1,8,100"])
 def test_malformed_caps_usage_error(chain2_file, caps, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["presheaves", "--caps", caps, chain2_file])

@@ -4,7 +4,8 @@ quantale only through its tables: no module names a removed alias.  It
 holds one backtracking search: one function compares a counter against
 `node_cap`.  And it takes every hom of presheaf vectors from
 `kernel.hom_matrix`: no module calls the scalar `presheaf_hom`, which the
-tests keep as an oracle."""
+tests keep as an oracle.  Likewise it decides cocontinuity by one column
+lookup (`cocomplete.right_adjoint`): no module calls `is_adjoint_functors`."""
 
 import ast
 import sys
@@ -41,8 +42,8 @@ def alias_attributes(tree):
             yield node.attr
 
 
-def presheaf_hom_uses(tree):
-    """The line of every read of the name `presheaf_hom`, bare or as an
+def name_reads(tree, target):
+    """The line of every read of the name `target`, bare or as an
     attribute: a call, or a reference passed on to be called."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -51,7 +52,7 @@ def presheaf_hom_uses(tree):
             name = node.attr
         else:
             continue
-        if name == "presheaf_hom":
+        if name == target:
             yield node.lineno
 
 
@@ -104,7 +105,7 @@ def test_guard_sees_a_removed_alias():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_calls_no_scalar_presheaf_hom(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert list(presheaf_hom_uses(tree)) == []
+    assert list(name_reads(tree, "presheaf_hom")) == []
 
 
 def test_guard_sees_a_presheaf_hom_call():
@@ -116,7 +117,25 @@ def test_guard_sees_a_presheaf_hom_call():
         "presheaf.presheaf_hom(q, u, w)\n"
         "map(partial(presheaf_hom, q), us, ws)\n"
     )
-    assert sorted(presheaf_hom_uses(tree)) == [4, 5, 6]
+    assert sorted(name_reads(tree, "presheaf_hom")) == [4, 5, 6]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_calls_no_is_adjoint_functors(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert list(name_reads(tree, "is_adjoint_functors")) == []
+
+
+def test_guard_sees_an_is_adjoint_functors_call():
+    tree = ast.parse(
+        "from .dist import is_adjoint_functors\n"
+        "def is_adjoint_functors(f, g):\n"
+        "    return True\n"
+        "is_adjoint_functors(f, g)\n"
+        "dist.is_adjoint_functors(f, g)\n"
+        "all(map(is_adjoint_functors, fs, gs))\n"
+    )
+    assert sorted(name_reads(tree, "is_adjoint_functors")) == [4, 5, 6]
 
 
 def test_one_backtracking_search():
