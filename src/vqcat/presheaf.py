@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dist import Distributor, VFunctor, identity_dist
-from .errors import SizeExceeded
+from .errors import QuantaleMismatch, SizeExceeded
 from .kernel import hom_matrix
 from .quantale import Quantale
 from .vcat import VCategory, opposite, quantale_as_vcategory, tensor_vcat, unit_category
@@ -109,7 +109,11 @@ def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
     always fits t, because X(t, u) * X(u, s) <= X(t, s).  So a presheaf
     search cuts no branch early, and its node count is the number of
     consistent partial presheaves in placement order.
+
+    dom and cod must be over one quantale, else QuantaleMismatch.
     """
+    if dom.quantale != cod.quantale:
+        raise QuantaleMismatch(f"{what} search between V-categories over different quantales")
     m, n = len(dom), len(cod)
     if m == 0:
         return [()]

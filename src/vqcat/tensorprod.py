@@ -16,7 +16,10 @@ C_A is the witness's column table `CocompleteWitness.ideal_columns`.
 `build_tensor_product` does not filter D(A (x) B) with that test: by the
 Galois correspondence the ideals are exactly xi(a,b) = B(b, f a) for the
 sup-preserving f : A -> B^op, so it enumerates those maps instead.
-`galois_iso` keeps the filter as the cross-check.
+`galois_iso` finds the ideals by (i)-(ii) alone, as the cross-check:
+curried, a presheaf on A (x) B is a V-functor B^op -> D(A), b |-> xi(-, b),
+so the ideals are the V-functors B^op -> C_A whose rows lie in C_B
+(`ideals_by_columns`).  Neither enumerates D(A (x) B).
 """
 
 from __future__ import annotations
@@ -113,6 +116,28 @@ def is_g_ideal(wa: CocompleteWitness, wb: CocompleteWitness, xi) -> bool:
     """Whether the presheaf xi on tensor_vcat(A, B) is an ideal: every column
     in C_A and every row in C_B (`g_ideal_failure`)."""
     return g_ideal_failure(wa, wb, xi) is None
+
+
+def ideals_by_columns(
+    wa: CocompleteWitness, wb: CocompleteWitness, node_cap: int = DEFAULT_NODE_CAP
+):
+    """The ideals of A (x) B, pair (a,b) at index a*|B|+b, in lexicographic
+    vector order.
+
+    One search for the V-functors B^op -> C_A, each the columns b |-> xi(-, b)
+    of a presheaf xi whose columns lie in C_A; xi is kept when its |A| rows
+    lie in C_B as well (module docstring, (i)-(ii)).  A node is one column
+    placed; past `node_cap` SizeExceeded says "ideal enumeration exceeded".
+    """
+    cols = tuple(theta for theta, fail in wa.ideal_columns.items() if fail is None)
+    na, nb = len(wa.base), len(wb.base)
+    c_a = presheaf_subcategory(wa.base, cols)
+    ideals = []
+    for m in search_vfunctors(opposite(wb.base), c_a, node_cap, "ideal"):
+        xi = tuple(cols[k][x] for x in range(na) for k in m)
+        if all(wb.ideal_columns[xi[x * nb : (x + 1) * nb]] is None for x in range(na)):
+            ideals.append(xi)
+    return tuple(sorted(ideals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,9 +320,11 @@ def galois_iso(
 ) -> bool:
     """The carrier is the opposite of the sup-map category into B-opposite.
 
-    Forward: f |-> xi(a,b) = B(b, f a).  Back: f(a) = join_b xi(a,b) (x) b,
-    joins and tensors taken in B.  Both composites must be identities and the
-    carrier hom must equal the functor hom with the variance flipped.
+    The ideals come from the ideal equation alone (`ideals_by_columns`), not
+    from the sup-maps and without enumerating D(A (x) B).  Forward:
+    f |-> xi(a,b) = B(b, f a).  Back: f(a) = join_b xi(a,b) (x) b, joins and
+    tensors taken in B.  Both composites must be identities and the carrier
+    hom must equal the functor hom with the variance flipped.
     """
     if wa is None:
         wa = _witness_for(a, "left factor", node_cap)
@@ -305,9 +332,7 @@ def galois_iso(
         wb = _witness_for(b, "right factor", node_cap)
     bop = opposite(b)
     funs = enumerate_cocontinuous(a, bop, node_cap)
-    ab = tensor_vcat(a, b)
-    dab = enumerate_presheaves(ab, node_cap)
-    ideal = [xi for xi in dab.vectors if is_g_ideal(wa, wb, xi)]
+    ideal = ideals_by_columns(wa, wb, node_cap)
     ideal_set = {xi: k for k, xi in enumerate(ideal)}
     if len(funs) != len(ideal):
         return False

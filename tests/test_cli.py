@@ -93,6 +93,19 @@ def test_tensor_command(chain2_file, capsys):
     assert "2" in out
 
 
+def test_tensor_galois_on_bool3(tmp_path, capsys):
+    # D(bool3 (x) bool3) has 7.8 M presheaves; --galois enumerates none of them
+    lines = ["quantale two builtin two", "vcategory B3 over two"]
+    lines.append("  objects " + " ".join(f"s{i}" for i in range(8)))
+    lines += [f"  hom s{i} s{j} = 1" for i in range(8) for j in range(8) if i != j and i & j == i]
+    p = tmp_path / "bool3.vcat"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["tensor", str(p), str(p), "--galois"]) == 0
+    out = capsys.readouterr().out
+    assert "carrier has 512 ideal presheaves" in out
+    assert "galois correspondence: holds" in out
+
+
 def test_size_cap_exit_code(chain2_file, capsys):
     assert main(["presheaves", "--caps", "8,1,1000", chain2_file]) == 3
 

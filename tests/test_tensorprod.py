@@ -9,16 +9,25 @@ from vqcat import cocomplete, tensorprod
 from vqcat.ccd import dual_object
 from vqcat.cocomplete import check_cocomplete, join_obj, tensor_obj
 from vqcat.dist import VFunctor, functor_hom
-from vqcat.errors import NotCocomplete, NotCocompleteInput, NotSeparated, SizeExceeded
+from vqcat.errors import (
+    NotCocomplete,
+    NotCocompleteInput,
+    NotSeparated,
+    QuantaleMismatch,
+    SizeExceeded,
+)
 from vqcat.kernel import hom_matrix
-from vqcat.presheaf import PresheafCategory, apply_D, enumerate_presheaves
+from vqcat.presheaf import PresheafCategory, apply_D, enumerate_presheaves, search_vfunctors
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.tensorprod import (
     build_tensor_product,
     check_universal_property,
+    enumerate_cocontinuous,
+    enumerate_vfunctors,
     extend_bimorphism,
     galois_iso,
     g_ideal_failure,
+    ideals_by_columns,
     is_bimorphism,
     is_g_ideal,
     reflect_vector,
@@ -34,6 +43,7 @@ from vqcat.vcat import (
 )
 
 from categories import (
+    ORACLE_CATEGORIES,
     cocomplete_by_tensors_and_joins,
     heyting,
     lukasiewicz,
@@ -173,6 +183,111 @@ def test_g_ideal_matches_naive_oracle_on_random_categories(a):
             assert is_g_ideal(wa, wb, xi) == naive_is_g_ideal(wa, wb, xi)
 
 
+def _oracle_pair(name, partner):
+    """An ORACLE_CATEGORIES entry with itself or with its dual, witnessed."""
+    x = oracle_category(name)
+    wx = check_cocomplete(x)
+    y, wy = (x, wx) if partner == "self" else dual_object(x)[::2]
+    return x, wx, y, wy
+
+
+@pytest.mark.parametrize("partner", ["self", "dual"])
+@pytest.mark.parametrize("name", ORACLE_CATEGORIES)
+def test_ideals_by_columns_match_galois_carrier(name, partner):
+    # the column search uses only the ideal equation, the carrier only the
+    # sup-maps A -> B^op: the two characterizations give one ideal list
+    x, wx, y, wy = _oracle_pair(name, partner)
+    ideals = ideals_by_columns(wx, wy)
+    assert list(ideals) == sorted(ideals)
+    assert ideals == build_tensor_product(x, y, wx, wy).ideal_vectors
+
+
+@pytest.mark.parametrize("partner", ["self", "dual"])
+@pytest.mark.parametrize("name", [n for n in ORACLE_CATEGORIES if n != "M3"])
+def test_ideals_by_columns_match_naive_filter(name, partner):
+    # the definitional filter of D(A (x) B) at every weight pair; M3 (x) M3
+    # (4,388 presheaves) is left to test_galois_carrier_matches_definitional_filter
+    x, wx, y, wy = _oracle_pair(name, partner)
+    dab = enumerate_presheaves(tensor_vcat(x, y))
+    assert ideals_by_columns(wx, wy) == tuple(
+        xi for xi in dab.vectors if naive_is_g_ideal(wx, wy, xi)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_categories([builtin(n) for n in BUILTIN_NAMES], max_objects=3))
+def test_ideals_by_columns_match_naive_oracle_on_random_categories(a):
+    # the ideals of A (x) A and A (x) A^op, A separated cocomplete
+    cap = 3_000
+    try:
+        wa = check_cocomplete(a, node_cap=cap)
+        b = opposite(a)
+        pairs = [(a, wa), (b, check_cocomplete(b, node_cap=cap))]
+        dabs = [enumerate_presheaves(tensor_vcat(a, y), cap) for y, _ in pairs]
+    except (NotSeparated, NotCocomplete, SizeExceeded):
+        assume(False)
+    for (_, wb), dab in zip(pairs, dabs):
+        assert ideals_by_columns(wa, wb, cap) == tuple(
+            xi for xi in dab.vectors if naive_is_g_ideal(wa, wb, xi)
+        )
+
+
+IDEAL_NODES_M3_M3 = 383
+
+
+def test_ideal_node_count_is_pinned(m3):
+    # one node per column placed; the least cap that finds the 50 ideals
+    w = check_cocomplete(m3)
+    assert len(ideals_by_columns(w, w, IDEAL_NODES_M3_M3)) == 50
+    with pytest.raises(
+        SizeExceeded, match=f"ideal enumeration exceeded {IDEAL_NODES_M3_M3 - 1} nodes"
+    ):
+        ideals_by_columns(w, w, IDEAL_NODES_M3_M3 - 1)
+
+
+def test_galois_enumerates_no_tensor_presheaves(m3, enumerated):
+    # the ideals come from the column search, never from D(A (x) B)
+    w = check_cocomplete(m3)
+    assert galois_iso(m3, m3, w, w)
+    assert enumerated == [m3]
+    assert galois_iso(m3, m3)
+    assert enumerated == [m3, m3, m3]
+
+
+def _bool3():
+    return poset(tuple(f"s{i}" for i in range(8)), lambda i, j: i & j == i)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_bool3, lambda: quantale_as_vcategory(lukasiewicz(6))],
+    ids=["bool3", "V-luk6"],
+)
+def test_galois_past_the_tensor_presheaves(make):
+    # D(bool3 (x) bool3) has 7.8 M presheaves, the Dedekind number M(6)
+    x = make()
+    assert galois_iso(x, x)
+
+
+SEARCH_ENTRY_POINTS = {
+    "search_vfunctors": lambda a, b: search_vfunctors(a, b, 1_000, "functor"),
+    "enumerate_vfunctors": enumerate_vfunctors,
+    "enumerate_cocontinuous": enumerate_cocontinuous,
+    "vsup_category": vsup_category,
+    "galois_iso": galois_iso,
+}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["two-luk3", "luk3-two"])
+@pytest.mark.parametrize("entry", SEARCH_ENTRY_POINTS)
+def test_search_rejects_factors_over_different_quantales(entry, swap):
+    a, b = oracle_category("V-two"), oracle_category("V-lukasiewicz3")
+    if swap:
+        a, b = b, a
+    with pytest.raises(QuantaleMismatch, match="different quantales"):
+        SEARCH_ENTRY_POINTS[entry](a, b)
+
+
 def _chain(n):
     return poset([f"x{i}" for i in range(n)], lambda i, j: i <= j)
 
@@ -292,7 +407,7 @@ def test_g_ideal_failure_reports_pair(factors):
 
 
 def test_galois_builds_each_column_table_once(m3, monkeypatch):
-    # galois_iso filters D(A (x) B) with the factors' column tables, each
+    # galois_iso searches the ideals with the factors' column tables, each
     # one hom matrix of D(A), and never materializes a presheaf category
     tables, reads = [], []
 
