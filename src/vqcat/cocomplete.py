@@ -4,7 +4,7 @@ A supremum is always the *representer* of the meet formula
 X(sup phi, x) = meet_x' [phi(x'), X(x',x)]; on a separated category it is
 unique when it exists.  `sup_target` spells that formula out;
 `representer`, `tensor_obj`, `join_obj` and `weighted_colimit` evaluate it
-through the category's bitplane kernel (`VCategory.kernel`), a weighted
+through the category's byte kernel (`VCategory.kernel`), a weighted
 colimit as the supremum of the pushforward `apply_D` without computing the
 pushforward.  `check_cocomplete` tabulates the
 supremum for every presheaf; `sup_of` finds it for a single vector, which
@@ -176,8 +176,7 @@ def right_adjoint(f: VFunctor) -> VFunctor | None:
     Such a g makes f a V-functor, so a map that is not one gets None.
     """
     a, b = f.dom, f.cod
-    columns = {col: x for x, col in enumerate(zip(*a.hom))}
-    mapping = tuple(map(columns.get, zip(*map(b.hom.__getitem__, f.mapping))))
+    mapping = tuple(map(a.column_index.get, zip(*map(b.hom.__getitem__, f.mapping))))
     # an empty A has no columns at all, so zip yields none for B's objects
     if None in mapping or len(mapping) != len(b):
         return None

@@ -1,12 +1,18 @@
-"""Suprema and hom matrices by join-irreducible bitplane tests.
+"""Suprema and hom matrices by join-irreducible bytes.
 
-A vector u over V of length m is encoded as one Python int: for the k-th
-join-irreducible j_k of V, bit k*m + b is set iff j_k <= u_b.  So each
-join-irreducible owns one bitplane of m bits.  In a finite lattice every
-element is the join of the join-irreducibles below it, so the encoding is
-injective, u <= w pointwise iff enc(u) is a subset of enc(w), and since
-j <= v /\\ w iff j <= v and j <= w, a pointwise meet is one `&`.  No
-distributivity is assumed.  `Planes` is the one encoder.
+A vector u over V of length m is encoded as one Python int with one byte
+per coordinate: bit i of byte b is set iff the i-th join-irreducible j_i of
+V lies below u_b.  A byte holds 8 join-irreducibles, so for J > 8 the
+encoding is ceil(J / 8) blocks of m bytes, one after another: bit i of byte
+k*m + b stands for j_(8k+i) <= u_b.  In a finite lattice every element is
+the join of the join-irreducibles below it, so the encoding is injective,
+u <= w pointwise iff enc(u) is a subset of enc(w) (`t & ~w == 0`), and
+since j <= v /\\ w iff j <= v and j <= w, a pointwise meet is one `&`.  No
+distributivity is assumed.  Each block's byte of each element is one
+256-byte table, so `Planes.encode` is one `bytes.translate` per block and
+one `int.from_bytes`; it needs every element index below 256, the limit
+`quantale.MAX_ELEMENTS` that `validate_quantale` enforces.  `Planes` is the
+one encoder.
 
 Every supremum, tensor, join and weighted colimit in a V-category X is the
 object c representing a meet of cotensors of hom rows,
@@ -14,20 +20,25 @@ X(c, -) = meet_k [v_k, X(z_k, -)]: the supremum of phi takes (z_k, v_k) =
 (a, phi(a)) over all objects a, the tensor v (x) z the one pair (z, v), the
 join of the z_k the pairs (z_k, e), and the colimit of f weighted by phi
 the pairs (f y, phi(y)).  `SupKernel` holds the encoded cotensor rows
-([v, X(a, -)]) for every object a and value v, and a dict from each encoded
-hom row to the first object with that row, so each of them is a fold of `&`
-and one dict lookup.
+([v, X(a, -)]) for every object a and value v, each one `translate` of the
+hom row through the composed table w |-> code([v, w]), and a dict from each
+encoded hom row to the first object with that row, so each of them is a
+fold of `&` and one dict lookup.
 
 Every hom matrix of vectors, DX(u, w) = meet_b [u_b, w_b], is `hom_matrix`:
 j <= DX(u, w) iff j * u <= w pointwise, because v |-> v * u_b preserves
-joins.  So with each w encoded once as enc(w) and each u once per
-join-irreducible as enc(j_k * u), DX(u, w) is the element whose
-join-irreducibles are the j_k with enc(j_k * u) a subset of enc(w): J
-big-int tests per pair and one dict lookup.
+joins.  It slices the ws by column: for each coordinate b and value t, the
+bitset over ws of the w with t <= w_b is one `translate` of column b and
+one `int(..., 2)`.  Then {w : j * u <= w} is the `&` of the m bitsets
+picked by the coordinates of j * u (one `translate` of u through the table
+of v |-> j * v), and a row of the matrix is decoded from its J bitsets with
+`format`, `translate` and `to_bytes`: per join-irreducible, not per cell.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, getitem
 from typing import TYPE_CHECKING
 
 from .quantale import Quantale
@@ -47,26 +58,42 @@ def join_irreducibles(q: Quantale) -> tuple[int, ...]:
     )
 
 
+def _blocks(q: Quantale) -> list[tuple[int, ...]]:
+    """The join-irreducibles in blocks of 8, one block per byte; one empty
+    block for the one-element V, which has none."""
+    jis = join_irreducibles(q)
+    return [jis[k : k + 8] for k in range(0, max(len(jis), 1), 8)]
+
+
+def _table(codes) -> bytes:
+    """The `bytes.translate` table sending byte v to codes[v], and every
+    byte past the codes to 0."""
+    codes = bytes(codes)
+    return codes + bytes(256 - len(codes))
+
+
 class Planes:
-    """The bitplane encoding of vectors of length m over V."""
+    """The byte encoding of vectors over V: `tables[k][v]` is the byte of
+    element v in block k, the set of j_(8k), ..., j_(8k+7) below v."""
 
-    __slots__ = ("jis", "full", "spread")
+    __slots__ = ("tables",)
 
-    def __init__(self, q: Quantale, m: int):
-        self.jis = join_irreducibles(q)
-        self.full = (1 << (len(self.jis) * m)) - 1
-        # spread[w]: bit k*m set iff j_k <= w; shifted by b it encodes w at b
-        self.spread = tuple(
-            sum(1 << (k * m) for k, j in enumerate(self.jis) if q.leq[j][w])
-            for w in range(q.n)
+    def __init__(self, q: Quantale):
+        self.tables = tuple(
+            _table(sum(1 << i for i, j in enumerate(block) if q.leq[j][v]) for v in range(q.n))
+            for block in _blocks(q)
         )
 
-    def encode(self, vector) -> int:
-        acc = 0
-        spread = self.spread
-        for b, w in enumerate(vector):
-            acc |= spread[w] << b
-        return acc
+    def composed(self, f) -> tuple[bytes, ...]:
+        """The tables of v |-> code(f[v]), for a map f of element indices."""
+        return tuple(_table(map(table.__getitem__, f)) for table in self.tables)
+
+    def encode(self, vector, tables: tuple[bytes, ...] | None = None) -> int:
+        """enc(vector); with tables `composed(f)`, enc(f applied to vector)."""
+        row = bytes(vector)
+        return int.from_bytes(
+            b"".join(row.translate(table) for table in (tables or self.tables)), "little"
+        )
 
 
 class SupKernel:
@@ -82,12 +109,17 @@ class SupKernel:
 
     def __init__(self, x: VCategory):
         q = x.quantale
-        planes = Planes(q, len(x))
+        planes = Planes(q)
+        cotensors = tuple(planes.composed(res_v) for res_v in q.hom)
         self.bottom = q.bottom
-        self.full = planes.full
+        self.full = full = planes.encode(bytes([q.top]) * len(x))
+        # every [bottom, X(a, -)] is the one int `full`, kept once
         self.cot = tuple(
-            tuple(planes.encode(res_v[w] for w in hom_a) for res_v in q.hom)
-            for hom_a in x.hom
+            tuple(
+                full if v == q.bottom else planes.encode(hom_a, tables)
+                for v, tables in enumerate(cotensors)
+            )
+            for hom_a in map(bytes, x.hom)
         )
         rows: dict[int, int] = {}
         for c, cot_c in enumerate(self.cot):
@@ -111,21 +143,50 @@ def hom_matrix(q: Quantale, us, ws) -> tuple[tuple[int, ...], ...]:
     us, ws = tuple(us), tuple(ws)
     if not (us and ws):
         return tuple(() for _ in us)
-    planes = Planes(q, len(ws[0]))
-    bits = tuple(1 << k for k in range(len(planes.jis)))
-    # the join-irreducibles below each element, as bits k, back to the element
-    decode = {
-        sum(bit for bit, j in zip(bits, planes.jis) if q.leq[j][v]): v
-        for v in range(q.n)
-    }
-    # enc(j u) & ~enc(w) == 0 iff enc(j u) is a subset of enc(w)
-    outside = [~planes.encode(w) for w in ws]
+    n = len(ws)
+    # Bitsets over ws put w_i at bit n-1-i, the order of int(., 2) and of
+    # format(., "0nb"), so the i-th character of a bitset's string is w_i.
+    upsets = [_table(b"01"[q.leq[t][v]] for v in range(q.n)) for t in range(q.n)]
+    # columns[b][t]: the w with t <= w_b
+    columns = tuple(
+        tuple(int(column.translate(up), 2) for up in upsets)
+        for column in map(bytes, zip(*ws))
+    )
+    everything = (1 << n) - 1
+    spelled = f"0{n}b"
+    # per block, per join-irreducible j_i: the table of v |-> j_i * v, and
+    # the table sending the characters "0"/"1" to the bytes 0/(1 << i)
+    blocks = [
+        [
+            (_table(q.mult[j]), bytes.maketrans(b"01", bytes((0, 1 << i))))
+            for i, j in enumerate(block)
+        ]
+        for block in _blocks(q)
+    ]
+    # a cell's bytes, one per block, are its element's codes: one block
+    # decodes by a `translate` table, several by a dict lookup per cell
+    codes = Planes(q).tables
+    if len(codes) == 1:
+        table = bytearray(256)
+        for v in range(q.n):
+            table[codes[0][v]] = v
+
+        def decode(masks):
+            return tuple(masks[0].translate(table))
+    else:
+        element = {tuple(code[v] for code in codes): v for v in range(q.n)}
+
+        def decode(masks):
+            return tuple(map(element.__getitem__, zip(*masks)))
+
     rows = []
-    for u in us:
-        masks = [0] * len(ws)
-        for bit, j in zip(bits, planes.jis):
-            mul_j = q.mult[j]
-            t = planes.encode(mul_j[v] for v in u)
-            masks = [mask | bit if not t & o else mask for mask, o in zip(masks, outside)]
-        rows.append(tuple(map(decode.__getitem__, masks)))
+    for u in map(bytes, us):
+        masks = []
+        for block in blocks:
+            acc = 0
+            for mul_j, bit_j in block:
+                below = reduce(and_, map(getitem, columns, u.translate(mul_j)), everything)
+                acc |= int.from_bytes(format(below, spelled).encode().translate(bit_j), "big")
+            masks.append(acc.to_bytes(n, "big"))
+        rows.append(decode(masks))
     return tuple(rows)

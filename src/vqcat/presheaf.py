@@ -33,8 +33,8 @@ class PresheafCategory:
     Objects are ordered lexicographically by value-index vector, so indices
     are reproducible across runs; `index` maps a vector back to its object
     index.  The full hom matrix (`cat`) is built on first use by the
-    bitplane kernel (`kernel.hom_matrix`), a few big-int tests per cell; no
-    decision reads it.
+    byte kernel (`kernel.hom_matrix`), a few big-int `&` per row and
+    join-irreducible; no decision reads it.
     """
 
     def __init__(self, base: VCategory, vectors):

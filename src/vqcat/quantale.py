@@ -19,11 +19,15 @@ from .errors import (
     NotCommutative,
     NotJoinPreserving,
     QuantaleError,
+    SizeExceeded,
     UnknownBuiltin,
     WrongUnit,
 )
 
 BUILTIN_NAMES = ("two", "heyting3", "sugihara3", "lukasiewicz3", "r422", "powerset_z2")
+
+# The kernel encodes a vector as `bytes(vector)`, so element indices fit a byte.
+MAX_ELEMENTS = 256
 
 
 @dataclass(frozen=True)
@@ -85,14 +89,23 @@ def _glb(leq, n, x, y):
     return None
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_ELEMENTS:
+        raise SizeExceeded(
+            f"quantale has {n} elements (limit {MAX_ELEMENTS})", estimate=n
+        )
+
+
 def validate_quantale(elements, leq, mult, unit) -> Quantale:
     """Validate raw data and derive joins, meets and residuation.
 
     Raises a `QuantaleError` subclass naming the first violated axiom,
-    with a witness tuple of element names.
+    with a witness tuple of element names, and `SizeExceeded` for more than
+    `MAX_ELEMENTS` elements before any table is read.
     """
     elements = tuple(elements)
     n = len(elements)
+    _check_size(n)
     if len(set(elements)) != n:
         raise QuantaleError("element names are not distinct")
     leq = tuple(tuple(bool(x) for x in row) for row in leq)
@@ -207,6 +220,7 @@ def powerset_monoid(elements, op, unit) -> Quantale:
     """
     elements = tuple(elements)
     m = len(elements)
+    _check_size(1 << m)
     if len(set(elements)) != m:
         raise MonoidSpecInvalid("monoid elements not distinct")
     op = tuple(tuple(row) for row in op)

@@ -43,6 +43,12 @@ class VCategory:
         """The supremum kernel, built on the first supremum query and kept."""
         return SupKernel(self)
 
+    @cached_property
+    def column_index(self) -> dict[tuple[int, ...], int]:
+        """Each column X(-, x) mapped to its last object x, built on first
+        use and kept."""
+        return {col: x for x, col in enumerate(zip(*self.hom))}
+
 
 def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
     """Check the reflexivity and composition inequalities, with witnesses."""

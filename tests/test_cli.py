@@ -110,6 +110,22 @@ def test_size_cap_exit_code(chain2_file, capsys):
     assert main(["presheaves", "--caps", "8,1,1000", chain2_file]) == 3
 
 
+def test_quantale_past_256_elements_exit_code(tmp_path, capsys):
+    # the 257-chain with meet as tensor: a size cap, not a traceback
+    n = 257
+    lines = [
+        "quantale Q",
+        "  elements " + " ".join(f"e{i}" for i in range(n)),
+        "  order " + " ".join(f"e{i}<e{i + 1}" for i in range(n - 1)),
+        f"  unit e{n - 1}",
+    ]
+    lines += ["  mult " + " ".join(f"e{i}*e{j}=e{i}" for j in range(i, n)) for i in range(n)]
+    p = tmp_path / "chain257.vcat"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["quantale", "validate", str(p)]) == 3
+    assert "quantale has 257 elements (limit 256)" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.vcat"
     p.write_text("quantale Q\n  elements a a\n", encoding="utf-8")

@@ -5,7 +5,9 @@ holds one backtracking search: one function compares a counter against
 `node_cap`.  And it takes every hom of presheaf vectors from
 `kernel.hom_matrix`: no module calls the scalar `presheaf_hom`, which the
 tests keep as an oracle.  Likewise it decides cocontinuity by one column
-lookup (`cocomplete.right_adjoint`): no module calls `is_adjoint_functors`."""
+lookup (`cocomplete.right_adjoint`): no module calls `is_adjoint_functors`.
+And it encodes vectors in one place: only `kernel.py` names `Planes` or
+calls `int.from_bytes` or a `translate` method."""
 
 import ast
 import sys
@@ -53,6 +55,29 @@ def name_reads(tree, target):
         else:
             continue
         if name == target:
+            yield node.lineno
+
+
+ENCODING_CALLS = {"from_bytes", "translate"}
+
+
+def vector_encodings(tree):
+    """The line of every step that builds a vector encoding: a read or an
+    import of the name `Planes`, or a call of a method named like
+    `int.from_bytes` or `bytes.translate`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "Planes" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Name) and node.id == "Planes":
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "Planes":
+            yield node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ENCODING_CALLS
+        ):
             yield node.lineno
 
 
@@ -162,3 +187,27 @@ def test_guard_sees_a_second_search():
         "    assert node_cap > 0\n"
     )
     assert sorted(capped_searches(tree)) == ["place", "second"]
+
+
+def test_one_vector_encoder():
+    encoders = sorted(
+        {
+            path.name
+            for path in SOURCES
+            if any(vector_encodings(ast.parse(path.read_text(encoding="utf-8"))))
+        }
+    )
+    assert encoders == ["kernel.py"]
+
+
+def test_guard_sees_a_second_encoder():
+    tree = ast.parse(
+        "from .kernel import Planes, hom_matrix\n"
+        "planes = Planes(q)\n"
+        "code = kernel.Planes(q).encode(u)\n"
+        "code = int.from_bytes(bytes(u), 'little')\n"
+        "row = bytes(u).translate(table)\n"
+        "hom_matrix(q, us, ws)\n"
+        "bytes(u).hex()\n"
+    )
+    assert sorted(vector_encodings(tree)) == [1, 2, 3, 4, 5]

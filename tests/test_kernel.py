@@ -1,5 +1,7 @@
-"""The bitplane kernel behind `representer`, `tensor_obj` and `join_obj`,
-against the meet formula `sup_target` and the per-entry formulas."""
+"""The byte kernel behind `representer`, `tensor_obj` and `join_obj`,
+against the meet formula `sup_target` and the per-entry formulas, and
+`SupKernel.colimit` and `hom_matrix` against the bitplane kernel that they
+replaced (`tests/bitplane.py`)."""
 
 import itertools
 
@@ -19,9 +21,9 @@ from vqcat.cocomplete import (
 )
 from vqcat.dist import Distributor, VFunctor, functor_hom, functor_hom_matrix
 from vqcat.errors import NoSuchColimit, NotCocomplete
-from vqcat.kernel import hom_matrix, join_irreducibles
+from vqcat.kernel import Planes, SupKernel, hom_matrix, join_irreducibles
 from vqcat.presheaf import apply_D, enumerate_presheaves, presheaf_hom
-from vqcat.quantale import BUILTIN_NAMES, builtin
+from vqcat.quantale import BUILTIN_NAMES, builtin, validate_quantale
 from vqcat.tensorprod import (
     build_tensor_product,
     enumerate_cocontinuous,
@@ -35,6 +37,7 @@ from vqcat.vcat import (
     validate_vcategory,
 )
 
+from bitplane import BitplaneKernel, bitplane_hom_matrix
 from categories import (
     ORACLE_CATEGORIES,
     heyting,
@@ -296,3 +299,106 @@ def test_functor_hom_matrix_matches_functor_hom(name):
         for gs in (fs, fs[::-1][:5]):
             want = tuple(tuple(functor_hom(f, g) for g in gs) for f in fs)
             assert functor_hom_matrix(cod, fs, gs) == want
+
+
+# The byte layout's edge cases: J = 0 (no byte bits at all), J = 8 (one
+# full byte) and J = 11 (two blocks of bytes).
+ONE = validate_quantale(("0",), ((True,),), ((0,),), 0)
+BYTE_QUANTALES = {
+    **{name: builtin(name) for name in BUILTIN_NAMES},
+    **CHAINS,
+    "heyt9": heyting(9),
+    "luk12": lukasiewicz(12),
+    "one": ONE,
+}
+
+
+@pytest.mark.parametrize(
+    "name, jis, blocks", [("one", 0, 1), ("heyt9", 8, 1), ("luk12", 11, 2), ("two", 1, 1)]
+)
+def test_block_count(name, jis, blocks):
+    q = BYTE_QUANTALES[name]
+    assert len(join_irreducibles(q)) == jis
+    assert len(Planes(q).tables) == blocks
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_QUANTALES))
+def test_byte_layout(name):
+    # bit i of byte k*m + b is set iff j_(8k+i) <= u_b
+    q = BYTE_QUANTALES[name]
+    jis = join_irreducibles(q)
+    planes = Planes(q)
+    for u in itertools.product(range(q.n), repeat=2):
+        code = planes.encode(u)
+        m = len(u)
+        for k in range(len(planes.tables)):
+            for b, v in enumerate(u):
+                byte = code >> (8 * (k * m + b)) & 0xFF
+                below = [q.leq[j][v] for j in jis[8 * k : 8 * k + 8]]
+                assert [bool(byte >> i & 1) for i in range(8)] == below + [False] * (8 - len(below))
+        assert code >> (8 * len(planes.tables) * m) == 0
+
+
+def byte_vectors(q, m):
+    return st.tuples(*[st.integers(0, q.n - 1)] * m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(BYTE_QUANTALES)), st.integers(0, 5), st.data())
+def test_hom_matrix_matches_bitplane_oracle(name, m, data):
+    # any vectors, empty us and ws included
+    q = BYTE_QUANTALES[name]
+    us = data.draw(st.lists(byte_vectors(q, m), max_size=8))
+    ws = data.draw(st.lists(byte_vectors(q, m), max_size=8))
+    assert hom_matrix(q, us, ws) == bitplane_hom_matrix(q, us, ws)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_categories(list(BYTE_QUANTALES.values())), st.data())
+def test_colimit_matches_bitplane_oracle(x, data):
+    q = x.quantale
+    kernel, oracle = SupKernel(x), BitplaneKernel(x)
+    # the same first object per distinct hom row
+    assert sorted(kernel.rows.values()) == sorted(oracle.rows.values())
+    objs = st.lists(st.integers(0, len(x) - 1), max_size=6)
+    for _ in range(5):
+        zs = data.draw(objs)
+        values = data.draw(st.lists(st.integers(0, q.n - 1), min_size=len(zs), max_size=len(zs)))
+        assert kernel.colimit(zs, values) == oracle.colimit(zs, values)
+    for phi in itertools.islice(enumerate_presheaves(x).vectors, 20):
+        assert kernel.colimit(range(len(x)), phi) == oracle.colimit(range(len(x)), phi)
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_QUANTALES))
+def test_colimit_on_v_and_the_empty_category(name):
+    q = BYTE_QUANTALES[name]
+    empty = validate_vcategory(q, (), ())
+    assert SupKernel(empty).colimit((), ()) is None
+    assert BitplaneKernel(empty).colimit((), ()) is None
+    v = quantale_as_vcategory(q)
+    kernel, oracle = SupKernel(v), BitplaneKernel(v)
+    for z, w in itertools.product(range(len(v)), range(q.n)):
+        assert kernel.colimit((z,), (w,)) == oracle.colimit((z,), (w,))
+        assert kernel.colimit((z, w), (q.unit, q.unit)) == oracle.colimit((z, w), (q.unit, q.unit))
+
+
+def test_hom_matrix_on_a_sample_of_D_luk12():
+    # 13,312 presheaves with J = 11, two blocks of bytes: every 61st against
+    # every 53rd, and the table against the columns of V that
+    # `cauchy_completion` reads
+    q = BYTE_QUANTALES["luk12"]
+    v = quantale_as_vcategory(q)
+    vectors = enumerate_presheaves(v).vectors
+    us, ws = vectors[::61], vectors[::53]
+    assert hom_matrix(q, us, ws) == bitplane_hom_matrix(q, us, ws)
+    columns = tuple(zip(*v.hom))
+    assert hom_matrix(q, vectors[::7], columns) == bitplane_hom_matrix(q, vectors[::7], columns)
+
+
+def test_one_element_quantale():
+    # J = 0: every vector encodes to 0, and every hom is the one element
+    v = quantale_as_vcategory(ONE)
+    assert Planes(ONE).encode((0, 0, 0)) == 0
+    assert hom_matrix(ONE, [(0, 0)], [(0, 0), (0, 0)]) == ((0, 0),)
+    assert hom_matrix(ONE, [()], [()]) == ((0,),)
+    assert SupKernel(v).colimit((0,), (0,)) == 0

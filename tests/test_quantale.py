@@ -14,10 +14,12 @@ from vqcat.errors import (
     NotCommutative,
     NotJoinPreserving,
     NotALattice,
+    SizeExceeded,
     WrongUnit,
 )
 from vqcat.quantale import (
     BUILTIN_NAMES,
+    MAX_ELEMENTS,
     builtin,
     powerset_monoid,
     validate_quantale,
@@ -159,6 +161,38 @@ def test_validate_rejects_non_lattice():
     mult = ((0, 0), (0, 1))
     with pytest.raises(NotALattice):
         validate_quantale(("p", "q"), leq, mult, 1)
+
+
+class Untouchable:
+    """A table that fails the test if validation reads it."""
+
+    def __iter__(self):
+        raise AssertionError("table read")
+
+    __getitem__ = __len__ = __iter__
+
+
+def test_validate_rejects_257_elements_at_once():
+    # the byte kernel needs element indices below 256; the limit is checked
+    # before any of the O(n^3) table checks, which take seconds at n = 257
+    assert MAX_ELEMENTS == 256
+    names = [f"e{i}" for i in range(MAX_ELEMENTS + 1)]
+    with pytest.raises(SizeExceeded) as exc:
+        validate_quantale(names, Untouchable(), Untouchable(), 0)
+    assert exc.value.estimate == MAX_ELEMENTS + 1
+
+
+def test_validate_admits_256_elements():
+    # 256 elements pass the size check and fail on the next one
+    names = ["e"] * MAX_ELEMENTS
+    with pytest.raises(QuantaleError, match="not distinct"):
+        validate_quantale(names, Untouchable(), Untouchable(), 0)
+
+
+def test_powerset_monoid_rejects_512_subsets_at_once():
+    with pytest.raises(SizeExceeded) as exc:
+        powerset_monoid(tuple(map(str, range(9))), Untouchable(), 0)
+    assert exc.value.estimate == 512
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
