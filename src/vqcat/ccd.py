@@ -9,6 +9,7 @@ A (x) A* into the endo-map category is an isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cocomplete import CocompleteWitness, check_cocomplete, tensor_obj
 from .dist import VFunctor
@@ -125,10 +126,16 @@ def is_nuclear(
         big = extend_bimorphism(t, beta_fun)
     except NoSuchColimit:
         return False
-    return len(set(big.mapping)) == len(h_cat) and all(
-        row == tuple(map(h_cat.hom[bk].__getitem__, big.mapping))
-        for row, bk in zip(t.carrier.hom, big.mapping)
-    )
+    if len(set(big.mapping)) != len(h_cat):
+        return False
+    # row bk of H read at big.mapping; one index would make `itemgetter`
+    # return the entry itself, not a 1-tuple
+    if len(h_cat) > 1:
+        pick = itemgetter(*big.mapping)
+    else:
+        def pick(row):
+            return tuple(row[k] for k in big.mapping)
+    return all(row == pick(h_cat.hom[bk]) for row, bk in zip(t.carrier.hom, big.mapping))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ without enumerating their presheaves.  Out of a separated cocomplete A, a
 map f : A -> B is cocontinuous exactly when it is a left adjoint, that is
 when every B(f-, c) is a representable presheaf A(-, g c).
 `right_adjoint` finds each such column among A's columns, and
-`is_cocontinuous` asks only whether it found them all; neither needs D(A).
+`is_cocontinuous` asks only whether each is there, stopping at the first
+that is not; neither needs D(A).
+Such a map is fixed by its values on `dense_generators`, a set G with
+every x the colimit of G weighted by A(G, x).
 """
 
 from __future__ import annotations
@@ -168,6 +171,26 @@ def left_kan(j: VFunctor, f: VFunctor) -> VFunctor:
     return weighted_colimit(weight, f)
 
 
+def dense_generators(a: VCategory) -> tuple[int, ...]:
+    """An irredundant G with every x the colimit of G weighted by A(G, x).
+
+    One greedy pass drops x when it is the colimit of the kept objects
+    other than x, weighted by A(-, x).  Dropping x keeps every object
+    dropped before it generated: its colimit row meet_g [A(g, y), A(g, -)]
+    loses the term [A(x, y), A(x, -)] = meet_g [A(g, x) * A(x, y), A(g, -)],
+    which lies above meet_g [A(g, y), A(g, -)] and so changed nothing.  And
+    no kept g is generated by G minus g, a smaller set than the one it
+    failed against.  Over `two` G is the join-irreducibles.
+    """
+    colimit, hom = a.kernel.colimit, a.hom
+    kept = list(range(len(a)))
+    for x in range(len(a)):
+        rest = [g for g in kept if g != x]
+        if colimit(rest, [hom[g][x] for g in rest]) == x:
+            kept = rest
+    return tuple(kept)
+
+
 def right_adjoint(f: VFunctor) -> VFunctor | None:
     """The right adjoint g of f : A -> B, or None if f has none.
 
@@ -176,14 +199,23 @@ def right_adjoint(f: VFunctor) -> VFunctor | None:
     Such a g makes f a V-functor, so a map that is not one gets None.
     """
     a, b = f.dom, f.cod
-    mapping = tuple(map(a.column_index.get, zip(*map(b.hom.__getitem__, f.mapping))))
+    mapping = tuple(map(a.column_index.get, _columns(f)))
     # an empty A has no columns at all, so zip yields none for B's objects
     if None in mapping or len(mapping) != len(b):
         return None
     return VFunctor(b, a, mapping)
 
 
+def _columns(f: VFunctor):
+    """The columns B(f-, c) of f : A -> B, one per object c of B, built
+    one at a time."""
+    return zip(*map(f.cod.hom.__getitem__, f.mapping))
+
+
 def is_cocontinuous(f: VFunctor) -> bool:
     """f preserves all suprema, its domain being separated cocomplete: it is
-    a left adjoint (`right_adjoint`)."""
-    return right_adjoint(f) is not None
+    a left adjoint (`right_adjoint`).  The answer is known at the first
+    column B(f-, c) that is no column of A, and the rest is not built."""
+    if not f.mapping:
+        return not f.cod.hom
+    return all(map(f.dom.column_index.__contains__, _columns(f)))

@@ -12,7 +12,8 @@ distributivity is assumed.  Each block's byte of each element is one
 256-byte table, so `Planes.encode` is one `bytes.translate` per block and
 one `int.from_bytes`; it needs every element index below 256, the limit
 `quantale.MAX_ELEMENTS` that `validate_quantale` enforces.  `Planes` is the
-one encoder.
+one encoder.  It and every other table that depends on V alone are built
+once per quantale (`QuantaleTables`, kept as `Quantale.tables`).
 
 Every supremum, tensor, join and weighted colimit in a V-category X is the
 object c representing a meet of cotensors of hom rows,
@@ -41,9 +42,8 @@ from functools import reduce
 from operator import and_, getitem
 from typing import TYPE_CHECKING
 
-from .quantale import Quantale
-
 if TYPE_CHECKING:
+    from .quantale import Quantale
     from .vcat import VCategory
 
 
@@ -96,6 +96,46 @@ class Planes:
         )
 
 
+class QuantaleTables:
+    """The tables of one quantale that `SupKernel` and `hom_matrix` read:
+    `planes`, the cotensor tables w |-> code([v, w]) for each v, and the
+    upset, multiplication and decoding tables of `hom_matrix`.  Built once
+    per quantale (`Quantale.tables`)."""
+
+    __slots__ = ("planes", "cotensors", "upsets", "blocks", "decode")
+
+    def __init__(self, q: Quantale):
+        self.planes = planes = Planes(q)
+        self.cotensors = tuple(planes.composed(res_v) for res_v in q.hom)
+        self.upsets = tuple(_table(b"01"[q.leq[t][v]] for v in range(q.n)) for t in range(q.n))
+        # per block, per join-irreducible j_i: the table of v |-> j_i * v, and
+        # the table sending the characters "0"/"1" to the bytes 0/(1 << i)
+        self.blocks = tuple(
+            tuple(
+                (_table(q.mult[j]), bytes.maketrans(b"01", bytes((0, 1 << i))))
+                for i, j in enumerate(block)
+            )
+            for block in _blocks(q)
+        )
+        # a cell's bytes, one per block, are its element's codes: one block
+        # decodes by a `translate` table, several by a dict lookup per cell
+        codes = planes.tables
+        if len(codes) == 1:
+            table = bytearray(256)
+            for v in range(q.n):
+                table[codes[0][v]] = v
+
+            def decode(masks):
+                return tuple(masks[0].translate(table))
+        else:
+            element = {tuple(code[v] for code in codes): v for v in range(q.n)}
+
+            def decode(masks):
+                return tuple(map(element.__getitem__, zip(*masks)))
+
+        self.decode = decode
+
+
 class SupKernel:
     """Encoded cotensor rows and the hom-row dict of one V-category.
 
@@ -109,8 +149,7 @@ class SupKernel:
 
     def __init__(self, x: VCategory):
         q = x.quantale
-        planes = Planes(q)
-        cotensors = tuple(planes.composed(res_v) for res_v in q.hom)
+        planes, cotensors = q.tables.planes, q.tables.cotensors
         self.bottom = q.bottom
         self.full = full = planes.encode(bytes([q.top]) * len(x))
         # every [bottom, X(a, -)] is the one int `full`, kept once
@@ -144,9 +183,9 @@ def hom_matrix(q: Quantale, us, ws) -> tuple[tuple[int, ...], ...]:
     if not (us and ws):
         return tuple(() for _ in us)
     n = len(ws)
+    upsets, blocks, decode = q.tables.upsets, q.tables.blocks, q.tables.decode
     # Bitsets over ws put w_i at bit n-1-i, the order of int(., 2) and of
     # format(., "0nb"), so the i-th character of a bitset's string is w_i.
-    upsets = [_table(b"01"[q.leq[t][v]] for v in range(q.n)) for t in range(q.n)]
     # columns[b][t]: the w with t <= w_b
     columns = tuple(
         tuple(int(column.translate(up), 2) for up in upsets)
@@ -154,31 +193,6 @@ def hom_matrix(q: Quantale, us, ws) -> tuple[tuple[int, ...], ...]:
     )
     everything = (1 << n) - 1
     spelled = f"0{n}b"
-    # per block, per join-irreducible j_i: the table of v |-> j_i * v, and
-    # the table sending the characters "0"/"1" to the bytes 0/(1 << i)
-    blocks = [
-        [
-            (_table(q.mult[j]), bytes.maketrans(b"01", bytes((0, 1 << i))))
-            for i, j in enumerate(block)
-        ]
-        for block in _blocks(q)
-    ]
-    # a cell's bytes, one per block, are its element's codes: one block
-    # decodes by a `translate` table, several by a dict lookup per cell
-    codes = Planes(q).tables
-    if len(codes) == 1:
-        table = bytearray(256)
-        for v in range(q.n):
-            table[codes[0][v]] = v
-
-        def decode(masks):
-            return tuple(masks[0].translate(table))
-    else:
-        element = {tuple(code[v] for code in codes): v for v in range(q.n)}
-
-        def decode(masks):
-            return tuple(map(element.__getitem__, zip(*masks)))
-
     rows = []
     for u in map(bytes, us):
         masks = []

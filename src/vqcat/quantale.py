@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     MonoidSpecInvalid,
@@ -23,6 +23,7 @@ from .errors import (
     UnknownBuiltin,
     WrongUnit,
 )
+from .kernel import QuantaleTables
 
 BUILTIN_NAMES = ("two", "heyting3", "sugihara3", "lukasiewicz3", "r422", "powerset_z2")
 
@@ -52,6 +53,12 @@ class Quantale:
     @property
     def n(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def tables(self) -> QuantaleTables:
+        """The byte kernel's tables over this quantale, built on first use
+        and kept."""
+        return QuantaleTables(self)
 
     def join_of(self, values) -> int:
         """Join of an arbitrary (possibly empty) iterable, folded from bottom."""

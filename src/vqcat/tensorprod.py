@@ -20,16 +20,28 @@ sup-preserving f : A -> B^op, so it enumerates those maps instead.
 curried, a presheaf on A (x) B is a V-functor B^op -> D(A), b |-> xi(-, b),
 so the ideals are the V-functors B^op -> C_A whose rows lie in C_B
 (`ideals_by_columns`).  Neither enumerates D(A (x) B).
+
+A sup-map f : A -> C is Lan_j(f j) for j : G -> A the inclusion of the
+dense generators (`cocomplete.dense_generators`): f(x) is the colimit of
+f j weighted by A(G, x).  So `enumerate_cocontinuous` searches the
+V-functors G -> C only, extends each and keeps the left adjoints.  A
+bimorphism f is fixed on G_A x G_B in the same way, f(a, b) being the
+colimit of the f(g, h) weighted by A(g, a) * B(h, b), so
+`check_universal_property` searches those pairs only
+(`enumerate_extensions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
+from operator import attrgetter
 
 from .cocomplete import (
     CocompleteWitness,
     check_cocomplete,
+    dense_generators,
     is_cocontinuous,
     join_obj,
     tensor_obj,
@@ -42,6 +54,7 @@ from .errors import (
     NotCocompleteInput,
     NotSeparated,
     QuantaleMismatch,
+    SizeExceeded,
 )
 from .kernel import hom_matrix
 from .presheaf import (
@@ -66,14 +79,59 @@ def enumerate_vfunctors(dom: VCategory, cod: VCategory, node_cap: int = DEFAULT_
     return search_vfunctors(dom, cod, node_cap, "functor")
 
 
+def enumerate_extensions(dom: VCategory, gens, cod: VCategory, node_cap: int, keep, what: str):
+    """The maps f : dom -> cod that `keep` accepts among the extensions of
+    the V-functors g on the full subcategory on `gens`, in mapping order.
+
+    f is g on `gens`, and off them f(x) is the colimit of g weighted by
+    dom(gens, x), read from `cod.kernel`; a g with no such colimit has no
+    extension.  In a cod that is not separated every object with the
+    colimit's hom row is taken.  A node is one generator's image placed
+    (`enumerate_vfunctors`).  Every caller builds the k x k hom matrix of
+    the k maps found, so past k^2 > node_cap * |dom| SizeExceeded says
+    "<what> count exceeded".
+    """
+    gens = tuple(gens)
+    off = tuple(sorted(set(range(len(dom))).difference(gens)))
+    weights = [[dom.hom[g][x] for g in gens] for x in off]
+    # g + the images off gens, read in object order
+    slots = gens + off
+    order = sorted(range(len(slots)), key=slots.__getitem__)
+    colimit = cod.kernel.colimit
+    # twins[c]: the objects with the hom row of c
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for c, row in enumerate(cod.hom):
+        classes.setdefault(row, []).append(c)
+    twins = [classes[row] for row in cod.hom]
+    separated = len(classes) == len(cod)
+    bound = node_cap * len(dom)
+    found = []
+    for g in enumerate_vfunctors(full_subcategory(dom, gens), cod, node_cap):
+        images = tuple([colimit(g, w) for w in weights])
+        if None in images:
+            continue
+        for image in (images,) if separated else product(*map(twins.__getitem__, images)):
+            f = VFunctor(dom, cod, tuple(map((g + image).__getitem__, order)))
+            if keep(f):
+                found.append(f)
+                if len(found) ** 2 > bound:
+                    raise SizeExceeded(
+                        f"{what} count exceeded {node_cap} nodes x {len(dom)} objects: "
+                        f"{len(found)} maps, a {len(found)}^2 hom matrix",
+                        estimate=len(found),
+                    )
+    found.sort(key=attrgetter("mapping"))
+    return found
+
+
 def enumerate_cocontinuous(a: VCategory, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP):
-    """All sup-preserving V-functors a -> cod; a must be separated cocomplete."""
-    return [
-        f
-        for m in enumerate_vfunctors(a, cod, node_cap)
-        for f in [VFunctor(a, cod, m)]
-        if is_cocontinuous(f)
-    ]
+    """All sup-preserving V-functors a -> cod, in mapping order; a must be
+    separated cocomplete.  Each is the extension of its restriction to
+    `dense_generators(a)` (`enumerate_extensions`), so the search places
+    images on those generators only."""
+    return enumerate_extensions(
+        a, dense_generators(a), cod, node_cap, is_cocontinuous, "sup-map"
+    )
 
 
 def vsup_category(a: VCategory, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP):
@@ -262,6 +320,20 @@ def is_bimorphism(f: VFunctor, a: VCategory, b: VCategory) -> bool:
     return True
 
 
+def enumerate_bimorphisms(
+    a: VCategory, b: VCategory, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP
+):
+    """All bimorphisms tensor_vcat(a, b) -> cod, in mapping order; a and b
+    separated cocomplete.  Each is the extension of its restriction to the
+    pairs of dense generators (`enumerate_extensions`), so the search
+    places images on those pairs only."""
+    nb = len(b)
+    pairs = [x * nb + y for x in dense_generators(a) for y in dense_generators(b)]
+    return enumerate_extensions(
+        tensor_vcat(a, b), pairs, cod, node_cap, lambda f: is_bimorphism(f, a, b), "bimorphism"
+    )
+
+
 def extend_bimorphism(t: TensorProduct, g: VFunctor) -> VFunctor:
     """The sup-preserving map on the carrier restricting to g along i.
 
@@ -290,12 +362,7 @@ def check_universal_property(
     if t is None:
         t = build_tensor_product(a, b, node_cap=node_cap)
     _witness_for(c, "test codomain", node_cap)
-    bimorphs = [
-        f
-        for m in enumerate_vfunctors(t.ab, c, node_cap)
-        for f in [VFunctor(t.ab, c, m)]
-        if is_bimorphism(f, a, b)
-    ]
+    bimorphs = enumerate_bimorphisms(a, b, c, node_cap)
     cocont = {f.mapping for f in enumerate_cocontinuous(t.carrier, c, node_cap)}
     if len(bimorphs) != len(cocont):
         return False

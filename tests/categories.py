@@ -57,14 +57,15 @@ def diamond_m3(two):
 
 
 def oracle_category(name):
-    """V over a builtin (`V-<name>`), the chains, M3, the pentagon N5, and
-    H2: x0 <= x1 over heyting3 with X(x1, x0) = a, cocomplete but not ccd."""
+    """V over a builtin (`V-<name>`), the chains `chain<n>`, the Boolean
+    algebra bool3, M3, the pentagon N5, and H2: x0 <= x1 over heyting3 with
+    X(x1, x0) = a, cocomplete but not ccd."""
     if name.startswith("V-"):
         return quantale_as_vcategory(builtin(name[2:]))
-    if name == "chain2":
-        return poset(("x0", "x1"), lambda i, j: i <= j)
-    if name == "chain3":
-        return poset(("x0", "x1", "x2"), lambda i, j: i <= j)
+    if name.startswith("chain"):
+        return poset(tuple(f"x{i}" for i in range(int(name[5:]))), lambda i, j: i <= j)
+    if name == "bool3":
+        return poset(tuple(f"s{i}" for i in range(8)), lambda i, j: i & j == i)
     if name == "M3":
         return diamond_m3(builtin("two"))
     if name == "H2":

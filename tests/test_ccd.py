@@ -36,7 +36,7 @@ from vqcat.tensorprod import (
     vsup_category,
 )
 from vqcat.textio import parse_files
-from vqcat.vcat import opposite, quantale_as_vcategory, row_object
+from vqcat.vcat import opposite, quantale_as_vcategory, row_object, terminal_category
 
 from categories import (
     NOT_CCD,
@@ -113,6 +113,13 @@ def test_dual_of_free_is_free_on_opposite(chain2):
 def test_dual_of_terminal(one_top):
     cat, _, _ = dual_object(one_top)
     assert len(cat) == 1
+
+
+@pytest.mark.parametrize("qname", BUILTIN_NAMES)
+def test_one_object_categories_are_nuclear(qname):
+    # one carrier row, compared through the one-index branch of is_nuclear
+    rep = check_main_theorem(terminal_category(builtin(qname)))
+    assert rep.ccd is True and rep.nuclear is True
 
 
 def test_nuclear_verdicts(two, chain2):
@@ -392,3 +399,13 @@ def test_main_theorem_on_the_frontier(x):
     # chain7 (x) chain7* has 924 ideals and bool3 (x) bool3* has 512
     rep = check_main_theorem(x)
     assert rep.ccd is True and rep.nuclear is True
+
+
+def test_main_theorem_on_bool4_fails_fast_at_the_default_cap():
+    # bool4 has 16^4 = 65,536 endo sup-maps: the count guard stops the list
+    # at 5,657 maps, the first k with k^2 > 2,000,000 nodes x 16 objects,
+    # before any hom matrix of them is built
+    with pytest.raises(
+        SizeExceeded, match="sup-map count exceeded 2000000 nodes x 16 objects: 5657 maps"
+    ):
+        check_main_theorem(boolean_algebra(4))

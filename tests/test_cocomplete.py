@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from vqcat.cocomplete import (
     check_cocomplete,
+    dense_generators,
     is_cocontinuous,
     join_obj,
     left_kan,
@@ -31,6 +32,7 @@ from vqcat.presheaf import apply_D, enumerate_presheaves, yoneda
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.vcat import (
     discrete,
+    is_separated,
     opposite,
     quantale_as_vcategory,
     tensor_vcat,
@@ -263,3 +265,73 @@ def test_tensors_and_joins_decide_cocompleteness(x):
     except NotSeparated:
         expected = False
     assert cocomplete_by_tensors_and_joins(x) == expected
+
+
+def generated_row(x, gens, obj):
+    """The hom row of the colimit of `gens` weighted by X(gens, obj), by
+    its meet formula meet_g [X(g, obj), X(g, -)]."""
+    q = x.quantale
+    return tuple(
+        q.meet_of(q.hom[x.hom[g][obj]][x.hom[g][b]] for g in gens) for b in range(len(x))
+    )
+
+
+def assert_dense_and_irredundant(x, gens):
+    for obj in range(len(x)):
+        assert generated_row(x, gens, obj) == x.hom[obj]
+    # a non-separated x may keep an object isomorphic to one it dropped
+    if is_separated(x):
+        for g in gens:
+            assert generated_row(x, [h for h in gens if h != g], g) != x.hom[g]
+
+
+TWO_LATTICES = ["V-two", "chain2", "chain3", "chain6", "M3", "N5", "bool3"]
+
+
+def _category(name, dual):
+    x = oracle_category(name)
+    return opposite(x) if dual else x
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["self", "dual"])
+@pytest.mark.parametrize("name", [*ORACLE_CATEGORIES, "chain6", "bool3"])
+def test_dense_generators_generate_irredundantly(name, dual):
+    x = _category(name, dual)
+    assert_dense_and_irredundant(x, dense_generators(x))
+
+
+def join_irreducibles(x):
+    """Over two: the objects that are not the least upper bound of the
+    objects strictly below them."""
+    objs = range(len(x))
+
+    def lub(ys):
+        upper = [u for u in objs if all(x.hom[y][u] for y in ys)]
+        return next(z for z in upper if all(x.hom[z][u] for u in upper))
+
+    return tuple(z for z in objs if lub([y for y in objs if y != z and x.hom[y][z]]) != z)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["self", "dual"])
+@pytest.mark.parametrize("name", TWO_LATTICES)
+def test_dense_generators_of_a_lattice_are_its_join_irreducibles(name, dual):
+    x = _category(name, dual)
+    assert dense_generators(x) == join_irreducibles(x)
+
+
+def test_dense_generators_of_powerset_z2_keep_one_unit():
+    # {0} = {1} (x) {1} and {1} = {1} (x) {0}: each generates the other, and
+    # the one pass keeps exactly one of them
+    x = quantale_as_vcategory(builtin("powerset_z2"))
+    zero, one = x.index("{0}"), x.index("{1}")
+    assert generated_row(x, [one], zero) == x.hom[zero]
+    assert generated_row(x, [zero], one) == x.hom[one]
+    gens = dense_generators(x)
+    assert (zero in gens) != (one in gens)
+    assert_dense_and_irredundant(x, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_categories([builtin(n) for n in BUILTIN_NAMES], max_objects=4))
+def test_dense_generators_on_random_categories(x):
+    assert_dense_and_irredundant(x, dense_generators(x))

@@ -7,7 +7,9 @@ holds one backtracking search: one function compares a counter against
 tests keep as an oracle.  Likewise it decides cocontinuity by one column
 lookup (`cocomplete.right_adjoint`): no module calls `is_adjoint_functors`.
 And it encodes vectors in one place: only `kernel.py` names `Planes` or
-calls `int.from_bytes` or a `translate` method."""
+calls `int.from_bytes` or a `translate` method.  And it enumerates V-functors
+only on dense generators: `enumerate_vfunctors` is read in one function,
+`tensorprod.enumerate_extensions`."""
 
 import ast
 import sys
@@ -48,14 +50,32 @@ def name_reads(tree, target):
     """The line of every read of the name `target`, bare or as an
     attribute: a call, or a reference passed on to be called."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        else:
-            continue
-        if name == target:
+        if reads(node, target):
             yield node.lineno
+
+
+def reads(node, target):
+    """Whether the node reads the name `target`, bare or as an attribute."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id == target
+    return isinstance(node, ast.Attribute) and node.attr == target
+
+
+def reading_functions(tree, target):
+    """The name of the innermost function around each read of `target`
+    (as `name_reads` counts them), or "<module>" outside every function."""
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = getattr(child, "name", owner)
+            else:
+                inner = owner
+            if reads(child, target):
+                yield inner
+            yield from walk(child, inner)
+
+    yield from walk(tree, "<module>")
 
 
 ENCODING_CALLS = {"from_bytes", "translate"}
@@ -211,3 +231,34 @@ def test_guard_sees_a_second_encoder():
         "bytes(u).hex()\n"
     )
     assert sorted(vector_encodings(tree)) == [1, 2, 3, 4, 5]
+
+
+def test_one_vfunctor_enumeration_site():
+    sites = [
+        f"{path.name}:{owner}"
+        for path in SOURCES
+        for owner in reading_functions(
+            ast.parse(path.read_text(encoding="utf-8")), "enumerate_vfunctors"
+        )
+    ]
+    assert sites == ["tensorprod.py:enumerate_extensions"]
+
+
+def test_guard_sees_a_second_vfunctor_enumeration_site():
+    tree = ast.parse(
+        "from .tensorprod import enumerate_vfunctors\n"
+        "def enumerate_vfunctors(dom, cod, node_cap):\n"
+        "    return search_vfunctors(dom, cod, node_cap, 'functor')\n"
+        "def enumerate_extensions(dom, cod):\n"
+        "    for g in enumerate_vfunctors(dom, cod, 9):\n"
+        "        pass\n"
+        "def filtered(dom, cod):\n"
+        "    keep = lambda m: m\n"
+        "    return list(map(keep, tensorprod.enumerate_vfunctors(dom, cod)))\n"
+        "everything = enumerate_vfunctors(a, b, 9)\n"
+    )
+    assert list(reading_functions(tree, "enumerate_vfunctors")) == [
+        "enumerate_extensions",
+        "filtered",
+        "<module>",
+    ]

@@ -4,10 +4,17 @@ import itertools
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vqcat import cocomplete, tensorprod
 from vqcat.ccd import dual_object
-from vqcat.cocomplete import check_cocomplete, join_obj, tensor_obj
+from vqcat.cocomplete import (
+    check_cocomplete,
+    dense_generators,
+    is_cocontinuous,
+    join_obj,
+    tensor_obj,
+)
 from vqcat.dist import VFunctor, functor_hom
 from vqcat.errors import (
     NotCocomplete,
@@ -22,7 +29,9 @@ from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.tensorprod import (
     build_tensor_product,
     check_universal_property,
+    enumerate_bimorphisms,
     enumerate_cocontinuous,
+    enumerate_extensions,
     enumerate_vfunctors,
     extend_bimorphism,
     galois_iso,
@@ -626,3 +635,188 @@ def test_vsup_category_hom_is_functor_hom(chain2):
 
 def test_star_autonomy_v_two(v_two):
     assert star_autonomy_check(v_two)
+
+
+def sup_maps_by_filter(a, cod, cap=100_000):
+    """The definitional oracle: every V-functor a -> cod that is a left
+    adjoint, in mapping order."""
+    return [
+        f
+        for m in search_vfunctors(a, cod, cap, "functor")
+        for f in [VFunctor(a, cod, m)]
+        if is_cocontinuous(f)
+    ]
+
+
+def bimorphisms_by_filter(a, b, cod, cap=100_000):
+    """Every V-functor tensor_vcat(a, b) -> cod cocontinuous in each variable."""
+    ab = tensor_vcat(a, b)
+    return [
+        f
+        for m in search_vfunctors(ab, cod, cap, "functor")
+        for f in [VFunctor(ab, cod, m)]
+        if is_bimorphism(f, a, b)
+    ]
+
+
+# V over each builtin, the other oracle categories, chain6 and bool3, each
+# with its dual
+SUP_MAP_OBJECTS = {
+    name + suffix: dual(oracle_category(name))
+    for name in [*ORACLE_CATEGORIES, "chain6", "bool3"]
+    for suffix, dual in (("", lambda x: x), ("^op", opposite))
+}
+
+
+@pytest.mark.parametrize("name", SUP_MAP_OBJECTS)
+def test_sup_maps_match_enumerate_then_filter(name):
+    # into every object over the same quantale, the same list in the same order
+    a = SUP_MAP_OBJECTS[name]
+    for cod in SUP_MAP_OBJECTS.values():
+        if cod.quantale == a.quantale:
+            assert enumerate_cocontinuous(a, cod) == sup_maps_by_filter(a, cod)
+
+
+def _two_categories(draw):
+    q = draw(st.sampled_from([builtin(n) for n in BUILTIN_NAMES]))
+    return draw(random_categories([q])), draw(random_categories([q]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sup_maps_match_enumerate_then_filter_on_random_categories(data):
+    # any domain and any codomain, separated or not: exactly the left adjoints
+    a, cod = _two_categories(data.draw)
+    try:
+        expected = sup_maps_by_filter(a, cod, 20_000)
+    except SizeExceeded:
+        assume(False)
+    assert enumerate_cocontinuous(a, cod) == expected
+
+
+BIMORPHISM_TRIPLES = [
+    ("chain2", "chain2", "chain3"),
+    ("chain3", "chain2", "V-two"),
+    ("chain3", "chain3", "chain2"),
+    ("M3", "chain2", "chain2"),
+    ("N5", "V-two", "chain3^op"),
+    ("V-lukasiewicz3", "V-lukasiewicz3", "V-lukasiewicz3"),
+    ("V-lukasiewicz3", "V-lukasiewicz3^op", "V-lukasiewicz3^op"),
+    ("H2", "H2", "V-heyting3"),
+    ("V-sugihara3", "V-sugihara3", "V-sugihara3"),
+    ("V-powerset_z2", "V-powerset_z2", "V-powerset_z2"),
+]
+
+
+@pytest.mark.parametrize("triple", BIMORPHISM_TRIPLES, ids="-".join)
+def test_bimorphisms_match_enumerate_then_filter(triple):
+    a, b, c = (SUP_MAP_OBJECTS[n] for n in triple)
+    assert enumerate_bimorphisms(a, b, c) == bimorphisms_by_filter(a, b, c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_bimorphisms_match_enumerate_then_filter_on_random_categories(data):
+    a, b = _two_categories(data.draw)
+    c = data.draw(random_categories([a.quantale], max_objects=3))
+    try:
+        expected = bimorphisms_by_filter(a, b, c, 20_000)
+    except SizeExceeded:
+        assume(False)
+    # a cap of k^2 keeps the count guard off for the k maps expected
+    cap = max(20_000, len(expected) ** 2)
+    assert enumerate_bimorphisms(a, b, c, cap) == expected
+
+
+def _reject(f):
+    return False
+
+
+# (objects, generators, least NODES of the generator search alone, sup-maps)
+SUP_MAP_SEARCHES = {"bool3": (_bool3, 3, 584, 512), "chain6": (lambda: _chain(6), 5, 461, 252)}
+
+
+@pytest.mark.parametrize("name", SUP_MAP_SEARCHES)
+def test_sup_map_node_count_is_pinned(name):
+    # a node places one generator's image; with no map kept the count
+    # guard never fires, so the search alone is pinned
+    make, n_gens, nodes, _ = SUP_MAP_SEARCHES[name]
+    x = make()
+    gens = dense_generators(x)
+    assert len(gens) == n_gens
+    enumerate_extensions(x, gens, x, nodes, _reject, "sup-map")
+    with pytest.raises(SizeExceeded, match=f"functor enumeration exceeded {nodes - 1} nodes"):
+        enumerate_extensions(x, gens, x, nodes - 1, _reject, "sup-map")
+
+
+@pytest.mark.parametrize("name", SUP_MAP_SEARCHES)
+def test_vsup_category_least_cap_is_pinned(name):
+    # k maps need k^2 <= NODES x |A|: 512^2 = 32,768 x 8 and
+    # 252^2 <= 10,584 x 6, so the count guard sets the least cap
+    make, _, _, k = SUP_MAP_SEARCHES[name]
+    x = make()
+    cap = -(-(k * k) // len(x))
+    assert len(vsup_category(x, x, cap)[1]) == k
+    with pytest.raises(
+        SizeExceeded, match=f"sup-map count exceeded {cap - 1} nodes x {len(x)} objects: {k} maps"
+    ):
+        vsup_category(x, x, cap - 1)
+
+
+BIMORPHISM_NODES_C3_C3_C5 = 180
+UNIVERSAL_CAP_C3_C3_C5 = 1838
+
+
+def test_universal_property_node_counts_are_pinned():
+    # G = {x1, x2} in chain3, so the bimorphism search places the images of
+    # 4 pairs in 180 nodes (chain3 (x) chain3 -> chain5 has 4,116
+    # V-functors in all); 105 bimorphisms and 105 sup-maps out of the
+    # 6-object carrier, whose count guard sets the least cap:
+    # 105^2 <= 1,838 x 6
+    c3, c5 = _chain(3), _chain(5)
+    pairs = [x * 3 + y for x in dense_generators(c3) for y in dense_generators(c3)]
+    ab, nodes = tensor_vcat(c3, c3), BIMORPHISM_NODES_C3_C3_C5
+    enumerate_extensions(ab, pairs, c5, nodes, _reject, "bimorphism")
+    with pytest.raises(SizeExceeded, match=f"functor enumeration exceeded {nodes - 1} nodes"):
+        enumerate_extensions(ab, pairs, c5, nodes - 1, _reject, "bimorphism")
+    assert len(enumerate_bimorphisms(c3, c3, c5)) == 105
+    cap = UNIVERSAL_CAP_C3_C3_C5
+    assert check_universal_property(c3, c3, c5, node_cap=cap)
+    with pytest.raises(
+        SizeExceeded, match=f"sup-map count exceeded {cap - 1} nodes x 6 objects: 105 maps"
+    ):
+        check_universal_property(c3, c3, c5, node_cap=cap - 1)
+
+
+def test_bimorphism_count_guard():
+    # 105 bimorphisms out of the 9 pairs: 105^2 > 1,224 x 9
+    c3, c5 = _chain(3), _chain(5)
+    assert len(enumerate_bimorphisms(c3, c3, c5, 1_225)) == 105
+    with pytest.raises(
+        SizeExceeded, match="bimorphism count exceeded 1224 nodes x 9 objects: 105 maps"
+    ):
+        enumerate_bimorphisms(c3, c3, c5, 1_224)
+
+
+@pytest.mark.parametrize("name", ["chain2", "chain3", "M3", "V-lukasiewicz3", "V-powerset_z2", "H2"])
+def test_decisions_match_the_enumerate_then_filter_oracle(name, monkeypatch):
+    # every caller of the two searches sees the oracle's lists in its order;
+    # the universal property runs where the oracle's search stays small
+    x = oracle_category(name)
+
+    def decide():
+        cat, funs = vsup_category(x, x)
+        t = build_tensor_product(x, x)
+        return (
+            cat.hom,
+            [f.mapping for f in funs],
+            t.ideal_vectors,
+            len(x) > 3 or check_universal_property(x, x, x, t=t),
+            galois_iso(x, x),
+            star_autonomy_check(x),
+        )
+
+    fast = decide()
+    monkeypatch.setattr(tensorprod, "enumerate_cocontinuous", sup_maps_by_filter)
+    monkeypatch.setattr(tensorprod, "enumerate_bimorphisms", bimorphisms_by_filter)
+    assert decide() == fast
