@@ -6,8 +6,8 @@ unique when it exists.  `sup_target` spells that formula out;
 `representer`, `tensor_obj`, `join_obj` and `weighted_colimit` evaluate it
 through the category's byte kernel (`VCategory.kernel`), a weighted
 colimit as the supremum of the pushforward `apply_D` without computing the
-pushforward.  `check_cocomplete` tabulates the
-supremum for every presheaf; `sup_of` finds it for a single vector, which
+pushforward.  `check_cocomplete` asks only for tensors and binary joins, and
+its witness tabulates the suprema on first read; `sup_of` finds one, which
 keeps large but known-cocomplete codomains (functor categories) usable
 without enumerating their presheaves.  Out of a separated cocomplete A, a
 map f : A -> B is cocontinuous exactly when it is a left adjoint, that is
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .dist import Distributor, VFunctor
 from .errors import NoSuchColimit, NotCocomplete, NotSeparated
@@ -66,7 +67,12 @@ def sup_of(x: VCategory, values) -> int:
 class CocompleteWitness:
     base: VCategory
     dx: PresheafCategory
-    sup_index: tuple[int, ...]  # D(base) object index -> base object index
+
+    @cached_property
+    def sup_index(self) -> tuple[int, ...]:
+        """D(base) object index -> base index of its sup, built on first read."""
+        colimit, objs = self.base.kernel.colimit, range(len(self.base))
+        return tuple(colimit(objs, values) for values in self.dx.vectors)
 
     @cached_property
     def ideal_columns(self) -> dict[tuple[int, ...], int | None]:
@@ -84,7 +90,9 @@ class CocompleteWitness:
 def check_cocomplete(
     x: VCategory, dx: PresheafCategory | None = None, node_cap: int = DEFAULT_NODE_CAP
 ) -> CocompleteWitness:
-    """Full sup table over D(x); raises NotSeparated / NotCocomplete(failing)."""
+    """Raises NotSeparated / NotCocomplete(failing), else the witness on D(x).
+    Decided by `has_tensors_and_joins`; `failing` is the first presheaf in
+    D(x) order with no supremum."""
     pair = separation_witness(x)
     if pair is not None:
         raise NotSeparated(
@@ -92,7 +100,19 @@ def check_cocomplete(
         )
     if dx is None:
         dx = enumerate_presheaves(x, node_cap)
-    return CocompleteWitness(x, dx, tuple(sup_of(x, values) for values in dx.vectors))
+    if not (len(x) and has_tensors_and_joins(x)):
+        for values in dx.vectors:
+            sup_of(x, values)  # raises at the first presheaf with no supremum
+    return CocompleteWitness(x, dx)
+
+
+def has_tensors_and_joins(x: VCategory) -> bool:
+    """Every tensor v (x) z and binary join exists, one kernel fold each.
+    sup phi is the join of the tensors phi(z) (x) z, so a separated x with
+    an object is cocomplete iff this holds."""
+    colimit, objs, unit = x.kernel.colimit, range(len(x)), x.quantale.unit
+    tensors = all(colimit((z,), (v,)) is not None for z in objs for v in range(x.quantale.n))
+    return tensors and all(colimit(p, (unit, unit)) is not None for p in combinations(objs, 2))
 
 
 def _weight(x: VCategory, v: int, objs):

@@ -24,7 +24,8 @@ the pairs (f y, phi(y)).  `SupKernel` holds the encoded cotensor rows
 ([v, X(a, -)]) for every object a and value v, each one `translate` of the
 hom row through the composed table w |-> code([v, w]), and a dict from each
 encoded hom row to the first object with that row, so each of them is a
-fold of `&` and one dict lookup.
+fold of `&` and one dict lookup.  The fold over all (a, phi(a)), decoded by
+`to_bytes` and the decoder of `hom_matrix`, is DX(phi, y -) (`meet_row`).
 
 Every hom matrix of vectors, DX(u, w) = meet_b [u_b, w_b], is `hom_matrix`:
 j <= DX(u, w) iff j * u <= w pointwise, because v |-> v * u_b preserves
@@ -145,12 +146,12 @@ class SupKernel:
     `cot[a][bottom]` is `full`, the encoded all-top row.
     """
 
-    __slots__ = ("bottom", "full", "cot", "rows")
+    __slots__ = ("bottom", "full", "cot", "rows", "blocks", "decode")
 
     def __init__(self, x: VCategory):
         q = x.quantale
         planes, cotensors = q.tables.planes, q.tables.cotensors
-        self.bottom = q.bottom
+        self.bottom, self.blocks, self.decode = q.bottom, len(planes.tables), q.tables.decode
         self.full = full = planes.encode(bytes([q.top]) * len(x))
         # every [bottom, X(a, -)] is the one int `full`, kept once
         self.cot = tuple(
@@ -165,15 +166,25 @@ class SupKernel:
             rows.setdefault(cot_c[q.unit], c)
         self.rows = rows
 
-    def colimit(self, objs, values):
-        """The first object c with X(c, -) = meet_k [values_k, X(objs_k, -)],
-        or None.  Pairs with value bottom are skipped: [bottom, w] = top."""
+    def _meet(self, objs, values) -> int:
+        """enc(meet_k [values_k, X(objs_k, -)]).  Pairs with value bottom
+        are skipped: [bottom, w] = top."""
         acc = self.full
         bottom, cot = self.bottom, self.cot
         for z, v in zip(objs, values):
             if v != bottom:
                 acc &= cot[z][v]
-        return self.rows.get(acc)
+        return acc
+
+    def colimit(self, objs, values):
+        """The first object c with X(c, -) = `_meet(objs, values)`, or None."""
+        return self.rows.get(self._meet(objs, values))
+
+    def meet_row(self, values) -> tuple[int, ...]:
+        """meet_a [values_a, X(a, -)] decoded: DX(phi, y -) for a presheaf phi."""
+        m, blocks = len(self.cot), self.blocks
+        code = self._meet(range(m), values).to_bytes(m * blocks, "little")
+        return self.decode([code[k * m : (k + 1) * m] for k in range(blocks)])
 
 
 def hom_matrix(q: Quantale, us, ws) -> tuple[tuple[int, ...], ...]:

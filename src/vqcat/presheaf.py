@@ -314,14 +314,13 @@ def cauchy_completion(x: VCategory, dx: PresheafCategory):
     That is DX(psi, phi) <= join_x DX(psi, y x) * phi(x) for every psi.  The
     instance psi = phi, e <= join_x DX(phi, y x) * phi(x), is enough: times
     DX(psi, phi) it gives every other psi, as DX(psi, phi) * DX(phi, y x) <=
-    DX(psi, y x).  The table DX(phi, y x) is one `hom_matrix`, and only the
-    kept square of DX is built.  Returns (subcategory of DX, indices).
+    DX(psi, y x).  Each row DX(phi, y -) is one `SupKernel.meet_row`, and
+    only the kept square of DX is built.  Returns (subcategory, indices).
     """
-    q = x.quantale
-    to_y = hom_matrix(q, dx.vectors, zip(*x.hom))
+    q, to_y = x.quantale, x.kernel.meet_row
     kept = tuple(
         i
-        for i, (phi, ty) in enumerate(zip(dx.vectors, to_y))
-        if q.leq[q.unit][q.join_of(q.mult[t][v] for t, v in zip(ty, phi))]
+        for i, phi in enumerate(dx.vectors)
+        if q.leq[q.unit][q.join_of(q.mult[t][v] for t, v in zip(to_y(phi), phi))]
     )
     return presheaf_subcategory(x, (dx.vectors[i] for i in kept)), kept

@@ -43,13 +43,10 @@ from .cocomplete import (
     check_cocomplete,
     dense_generators,
     is_cocontinuous,
-    join_obj,
-    tensor_obj,
     weighted_colimit,
 )
 from .dist import Distributor, VFunctor, functor_hom_matrix
 from .errors import (
-    NoSuchColimit,
     NotCocomplete,
     NotCocompleteInput,
     NotSeparated,
@@ -389,9 +386,9 @@ def galois_iso(
 
     The ideals come from the ideal equation alone (`ideals_by_columns`), not
     from the sup-maps and without enumerating D(A (x) B).  Forward:
-    f |-> xi(a,b) = B(b, f a).  Back: f(a) = join_b xi(a,b) (x) b, joins and
-    tensors taken in B.  Both composites must be identities and the carrier
-    hom must equal the functor hom with the variance flipped.
+    f |-> xi(a,b) = B(b, f a).  Back: f(a) = join_b xi(a,b) (x) b, a colimit
+    in B weighted by xi(a, -).  Both composites must be identities and the
+    carrier hom must equal the functor hom with the variance flipped.
     """
     if wa is None:
         wa = _witness_for(a, "left factor", node_cap)
@@ -403,7 +400,7 @@ def galois_iso(
     ideal_set = {xi: k for k, xi in enumerate(ideal)}
     if len(funs) != len(ideal):
         return False
-    nb = len(b)
+    nb, objs, colimit = len(b), range(len(b)), b.kernel.colimit
     images = []
     for f in funs:
         xi = tuple(
@@ -411,15 +408,7 @@ def galois_iso(
         )
         if xi not in ideal_set:
             return False
-        try:
-            back = tuple(
-                join_obj(
-                    b, (tensor_obj(b, xi[x * nb + y], y) for y in range(nb))
-                )
-                for x in range(len(a))
-            )
-        except NoSuchColimit:
-            return False
+        back = tuple(colimit(objs, xi[x * nb : (x + 1) * nb]) for x in range(len(a)))
         if back != f.mapping:
             return False
         images.append(xi)

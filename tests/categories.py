@@ -1,18 +1,16 @@
 """Small categories shared by the oracle tests: V over each builtin quantale,
 the chains, M3, the pentagon N5, and H2; the Lukasiewicz and Heyting
 chain quantales; the hypothesis strategy `random_categories`; and the
-test-only helpers `try_cocomplete`, `cocomplete_by_tensors_and_joins`,
+test-only helpers `try_cocomplete`, `cocomplete_by_sup_table`,
 `is_presheaf_vector` and `hom_ij`."""
-
-import itertools
 
 from hypothesis import strategies as st
 
-from vqcat.cocomplete import check_cocomplete, join_obj, tensor_obj
-from vqcat.errors import NoSuchColimit, NotCocomplete
-from vqcat.presheaf import DEFAULT_NODE_CAP, presheaf_hom
+from vqcat.cocomplete import check_cocomplete, sup_target
+from vqcat.errors import NotCocomplete, NotSeparated
+from vqcat.presheaf import DEFAULT_NODE_CAP, enumerate_presheaves, presheaf_hom
 from vqcat.quantale import BUILTIN_NAMES, builtin, validate_quantale
-from vqcat.vcat import is_separated, quantale_as_vcategory, validate_vcategory
+from vqcat.vcat import is_separated, quantale_as_vcategory, row_object, validate_vcategory
 
 
 def chain_quantale(n, mul):
@@ -90,22 +88,21 @@ def try_cocomplete(x, dx=None, node_cap=DEFAULT_NODE_CAP):
         return None, exc.failing
 
 
-def cocomplete_by_tensors_and_joins(x) -> bool:
-    """Separated cocompleteness without enumerating D(x).  Every presheaf phi
-    is the join of the tensors phi(z) (x) z, and iterated binary joins give
-    every nonempty join, so a separated x with an object is cocomplete iff
-    it has every tensor and every binary join."""
-    if not (len(x) and is_separated(x)):
-        return False
-    try:
-        for z in range(len(x)):
-            for v in range(x.quantale.n):
-                tensor_obj(x, v, z)
-        for pair in itertools.combinations(range(len(x)), 2):
-            join_obj(x, pair)
-    except NoSuchColimit:
-        return False
-    return True
+def cocomplete_by_sup_table(x, dx=None):
+    """The full sup table over D(x), the oracle for `check_cocomplete`:
+    (sup table, None) if every presheaf has a supremum, else (None, the
+    values of the first presheaf in D(x) order with none).  Each supremum
+    is the first object whose hom row is `sup_target`, found by a plain
+    row search; a non-separated x raises NotSeparated."""
+    if not is_separated(x):
+        raise NotSeparated("not separated")
+    table = []
+    for values in (enumerate_presheaves(x) if dx is None else dx).vectors:
+        b = row_object(x, sup_target(x, values))
+        if b is None:
+            return None, values
+        table.append(b)
+    return tuple(table), None
 
 
 def is_presheaf_vector(x, values) -> bool:

@@ -1,10 +1,13 @@
 """Suprema, tensors and joins as representers, colimits, adjoints."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import vqcat
+from vqcat import cocomplete
 from vqcat.cocomplete import (
     check_cocomplete,
     dense_generators,
@@ -27,9 +30,11 @@ from vqcat.dist import (
     validate_distributor,
     validate_functor,
 )
+from vqcat.corpus import load
 from vqcat.errors import NoSuchColimit, NotCocomplete, NotSeparated
+from vqcat.kernel import SupKernel
 from vqcat.presheaf import apply_D, enumerate_presheaves, yoneda
-from vqcat.quantale import BUILTIN_NAMES, builtin
+from vqcat.quantale import BUILTIN_NAMES, builtin, validate_quantale
 from vqcat.vcat import (
     discrete,
     is_separated,
@@ -41,7 +46,7 @@ from vqcat.vcat import (
 
 from categories import (
     ORACLE_CATEGORIES,
-    cocomplete_by_tensors_and_joins,
+    cocomplete_by_sup_table,
     oracle_category,
     random_categories,
     try_cocomplete,
@@ -256,15 +261,104 @@ def test_is_cocontinuous_matches_every_presheaf_oracle(qname):
 
 
 
+def assert_decided_as_by_sup_table(x):
+    """`check_cocomplete` gives the verdict, the first failing presheaf and
+    the sup table of the full-table oracle, or both raise NotSeparated."""
+    try:
+        table, failing = cocomplete_by_sup_table(x)
+    except NotSeparated:
+        with pytest.raises(NotSeparated):
+            check_cocomplete(x)
+        return
+    w, found = try_cocomplete(x)
+    assert (w is None) == (table is None)
+    assert (found.values if found else None) == failing
+    assert w is None or w.sup_index == table
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_categories([builtin(n) for n in BUILTIN_NAMES], max_objects=3))
 def test_tensors_and_joins_decide_cocompleteness(x):
-    # the test-side check that needs no D(x), against the full sup table
+    # production decides by tensors and binary joins, the oracle by every
+    # presheaf of D(x)
+    assert_decided_as_by_sup_table(x)
+
+
+ONE = validate_quantale(("0",), ((True,),), ((0,),), 0)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        discrete(builtin("two"), ()),
+        validate_vcategory(ONE, ("p",), ((0,),)),
+        validate_vcategory(builtin("two"), ("p", "q"), ((1, 1), (1, 1))),
+    ],
+    ids=["empty", "one-object-over-one-element-V", "not-separated"],
+)
+def test_tensors_and_joins_decide_the_edge_cases(x):
+    assert_decided_as_by_sup_table(x)
+
+
+def test_the_empty_category_is_not_cocomplete(two):
+    # the empty presheaf has no supremum: there is no object to represent it
+    w, failing = try_cocomplete(discrete(two, ()))
+    assert w is None and failing.values == ()
+
+
+def counted(monkeypatch, owner, name):
+    """Count the calls of `owner.name` from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["V-lukasiewicz3", "V-powerset_z2", "chain3", "bool3", "H2"])
+def test_check_cocomplete_reads_no_presheaf(monkeypatch, name):
+    # on a cocomplete x: no supremum per presheaf of D(x), only the
+    # |x| * |V| tensors and the |x| (|x| - 1) / 2 binary joins
+    x = oracle_category(name)
+    dx = enumerate_presheaves(x)
+    sups = counted(monkeypatch, cocomplete, "sup_of")
+    reps = counted(monkeypatch, cocomplete, "representer")
+    folds = counted(monkeypatch, SupKernel, "colimit")
+    w = check_cocomplete(x, dx)
+    m = len(x)
+    assert (sups, reps) == ([], [])
+    assert len(folds) == m * x.quantale.n + m * (m - 1) // 2
+    assert "sup_index" not in vars(w)
+
+
+def _data_categories():
+    for name in sorted(p.name for p in (Path(vqcat.__file__).parent / "data").glob("*.vcat")):
+        for label, x in load(name).vcats.items():
+            yield f"{name}:{label}", x
+
+
+SUP_TABLE_CASES = {
+    **{name: oracle_category(name) for name in ORACLE_CATEGORIES},
+    **{f"{name}-op": opposite(oracle_category(name)) for name in ORACLE_CATEGORIES},
+    **dict(_data_categories()),
+}
+
+
+@pytest.mark.parametrize("name", SUP_TABLE_CASES)
+def test_lazy_sup_index_is_the_sup_table(name):
+    x = SUP_TABLE_CASES[name]
     try:
-        expected = try_cocomplete(x)[0] is not None
-    except NotSeparated:
-        expected = False
-    assert cocomplete_by_tensors_and_joins(x) == expected
+        w = check_cocomplete(x)
+    except (NotSeparated, NotCocomplete):
+        assert_decided_as_by_sup_table(x)
+        return
+    assert "sup_index" not in vars(w)
+    assert w.sup_index == tuple(sup_of(x, values) for values in w.dx.vectors)
+    assert w.sup_index == cocomplete_by_sup_table(x, w.dx)[0]
 
 
 def generated_row(x, gens, obj):

@@ -6,8 +6,9 @@ holds one backtracking search: one function compares a counter against
 `kernel.hom_matrix`: no module calls the scalar `presheaf_hom`, which the
 tests keep as an oracle.  Likewise it decides cocontinuity by one column
 lookup (`cocomplete.right_adjoint`): no module calls `is_adjoint_functors`.
-And it encodes vectors in one place: only `kernel.py` names `Planes` or
-calls `int.from_bytes` or a `translate` method.  And it enumerates V-functors
+And it encodes vectors in one place: only `kernel.py` names `Planes`,
+calls `int.from_bytes`, `int.to_bytes` or a `translate` method, or reads
+`tables.decode` or `tables.planes`.  And it enumerates V-functors
 only on dense generators: `enumerate_vfunctors` is read in one function,
 `tensorprod.enumerate_extensions`."""
 
@@ -78,13 +79,16 @@ def reading_functions(tree, target):
     yield from walk(tree, "<module>")
 
 
-ENCODING_CALLS = {"from_bytes", "translate"}
+ENCODING_CALLS = {"from_bytes", "to_bytes", "translate"}
+TABLE_CODECS = {"decode", "planes"}
 
 
 def vector_encodings(tree):
-    """The line of every step that builds a vector encoding: a read or an
-    import of the name `Planes`, or a call of a method named like
-    `int.from_bytes` or `bytes.translate`."""
+    """The line of every step that builds or reads a vector encoding: a read
+    or an import of the name `Planes`, a call of a method named like
+    `int.from_bytes`, `int.to_bytes` or `bytes.translate`, or a read of the
+    encoder or decoder of a quantale's tables (`tables.planes`,
+    `tables.decode`)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if any(alias.name == "Planes" for alias in node.names):
@@ -93,6 +97,9 @@ def vector_encodings(tree):
             yield node.lineno
         elif isinstance(node, ast.Attribute) and node.attr == "Planes":
             yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in TABLE_CODECS:
+            if reads(node.value, "tables"):
+                yield node.lineno
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -229,8 +236,13 @@ def test_guard_sees_a_second_encoder():
         "row = bytes(u).translate(table)\n"
         "hom_matrix(q, us, ws)\n"
         "bytes(u).hex()\n"
+        "code.to_bytes(m, 'little')\n"
+        "row = q.tables.decode(masks)\n"
+        "planes = tables.planes\n"
+        "text = out.getvalue().encode().decode()\n"
+        "kernel.meet_row(phi)\n"
     )
-    assert sorted(vector_encodings(tree)) == [1, 2, 3, 4, 5]
+    assert sorted(vector_encodings(tree)) == [1, 2, 3, 4, 5, 8, 9, 10]
 
 
 def test_one_vfunctor_enumeration_site():

@@ -384,8 +384,7 @@ def test_colimit_on_v_and_the_empty_category(name):
 
 def test_hom_matrix_on_a_sample_of_D_luk12():
     # 13,312 presheaves with J = 11, two blocks of bytes: every 61st against
-    # every 53rd, and the table against the columns of V that
-    # `cauchy_completion` reads
+    # every 53rd, and the table DX(phi, y -) against the columns of V
     q = BYTE_QUANTALES["luk12"]
     v = quantale_as_vcategory(q)
     vectors = enumerate_presheaves(v).vectors
@@ -393,6 +392,35 @@ def test_hom_matrix_on_a_sample_of_D_luk12():
     assert hom_matrix(q, us, ws) == bitplane_hom_matrix(q, us, ws)
     columns = tuple(zip(*v.hom))
     assert hom_matrix(q, vectors[::7], columns) == bitplane_hom_matrix(q, vectors[::7], columns)
+
+
+def assert_meet_rows_are_hom_rows(x, vectors):
+    """`SupKernel.meet_row` is the row of `hom_matrix` against X's columns."""
+    want = hom_matrix(x.quantale, vectors, zip(*x.hom))
+    assert tuple(map(SupKernel(x).meet_row, vectors)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_categories(list(BYTE_QUANTALES.values())), st.data())
+def test_meet_row_matches_hom_matrix_on_random_categories(x, data):
+    # any vectors, and the first presheaves of D(x)
+    vectors = data.draw(st.lists(byte_vectors(x.quantale, len(x)), max_size=8))
+    assert_meet_rows_are_hom_rows(x, vectors)
+    assert_meet_rows_are_hom_rows(x, enumerate_presheaves(x).vectors[:20])
+
+
+def test_meet_row_on_a_sample_of_D_luk12():
+    # two blocks of bytes: every 7th of the 13,312 presheaves
+    v = quantale_as_vcategory(BYTE_QUANTALES["luk12"])
+    assert_meet_rows_are_hom_rows(v, enumerate_presheaves(v).vectors[::7])
+
+
+def test_meet_row_over_the_one_element_quantale():
+    # J = 0: every row decodes to the one element
+    for m in range(4):
+        x = validate_vcategory(ONE, tuple(f"x{a}" for a in range(m)), ((0,) * m,) * m)
+        assert SupKernel(x).meet_row((0,) * m) == (0,) * m
+        assert_meet_rows_are_hom_rows(x, [(0,) * m])
 
 
 def test_one_element_quantale():

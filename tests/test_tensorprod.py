@@ -11,6 +11,7 @@ from vqcat.ccd import dual_object
 from vqcat.cocomplete import (
     check_cocomplete,
     dense_generators,
+    has_tensors_and_joins,
     is_cocontinuous,
     join_obj,
     tensor_obj,
@@ -45,6 +46,7 @@ from vqcat.tensorprod import (
     vsup_category,
 )
 from vqcat.vcat import (
+    is_separated,
     opposite,
     quantale_as_vcategory,
     tensor_vcat,
@@ -53,7 +55,6 @@ from vqcat.vcat import (
 
 from categories import (
     ORACLE_CATEGORIES,
-    cocomplete_by_tensors_and_joins,
     heyting,
     lukasiewicz,
     oracle_category,
@@ -278,6 +279,32 @@ def test_galois_past_the_tensor_presheaves(make):
     assert galois_iso(x, x)
 
 
+def test_galois_back_map_takes_no_tensor_or_join(m3, monkeypatch):
+    # f(a) is one colimit weighted by the row xi(a, -), not a join of |B|
+    # tensors
+    def refuse(*args):
+        raise AssertionError("tensor_obj or join_obj called")
+
+    for owner in (cocomplete, tensorprod):
+        for name in ("tensor_obj", "join_obj"):
+            monkeypatch.setattr(owner, name, refuse, raising=False)
+    assert galois_iso(m3, m3)
+    assert galois_iso(_bool3(), _bool3())
+
+
+@pytest.mark.parametrize("name", ["V-lukasiewicz3", "V-powerset_z2", "chain3", "M3", "H2"])
+def test_galois_back_map_is_the_join_of_tensors(name):
+    # the colimit of B weighted by xi(a, -) = B(-, f a) is the join of the
+    # tensors xi(a, b) (x) b, and it is f(a) on a separated cocomplete B
+    a = b = oracle_category(name)
+    nb = len(b)
+    for f in enumerate_cocontinuous(a, opposite(b)):
+        for x in range(len(a)):
+            row = [b.hom[y][f.mapping[x]] for y in range(nb)]
+            joined = join_obj(b, [tensor_obj(b, row[y], y) for y in range(nb)])
+            assert b.kernel.colimit(range(nb), row) == joined == f.mapping[x]
+
+
 SEARCH_ENTRY_POINTS = {
     "search_vfunctors": lambda a, b: search_vfunctors(a, b, 1_000, "functor"),
     "enumerate_vfunctors": enumerate_vfunctors,
@@ -326,13 +353,14 @@ def test_benchmark_tensors_have_only_ideals(name, partner):
     # property and the shipped files) is checked against the ideal equation,
     # and its carrier, whose sup-maps are enumerated without a witness, is
     # checked separated cocomplete.  D(carrier) is out of reach from chain5
-    # (x) chain5* on, so the check is by tensors and binary joins.
+    # (x) chain5* on, so the check is the production one by tensors and
+    # binary joins, without the D(carrier) that `check_cocomplete` lists.
     x = BENCHMARK_FACTORS[name]()
     wx = check_cocomplete(x)
     y, wy = (x, wx) if partner == "self" else dual_object(x)[::2]
     t = build_tensor_product(x, y, wx, wy)
     assert all(is_g_ideal(t.wa, t.wb, xi) for xi in t.ideal_vectors)
-    assert cocomplete_by_tensors_and_joins(t.carrier)
+    assert is_separated(t.carrier) and has_tensors_and_joins(t.carrier)
 
 
 @pytest.fixture
