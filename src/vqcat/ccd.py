@@ -1,19 +1,22 @@
 """Complete distributivity and nuclearity for cocomplete V-categories.
 
 A category is completely distributive when taking suprema has itself a left
-adjoint t; t(a) is the "totally below a" presheaf.  The main cross-check is
-that this property coincides with nuclearity: the canonical map from
-A (x) A* into the endo-map category is an isomorphism.
+adjoint t; t(a) is the "totally below a" presheaf, decided like every left
+adjoint out of D(X) without enumerating D(X) (`left_adjoint_candidates`).
+The main cross-check is that this property coincides with nuclearity: the
+canonical map from A (x) A* into the endo-map category is an isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from operator import itemgetter
 
 from .cocomplete import CocompleteWitness, check_cocomplete, tensor_obj
 from .dist import VFunctor
 from .errors import NoSuchColimit, NotCCD, NotCocompleteInput
+from .kernel import hom_matrix
 from .presheaf import DEFAULT_NODE_CAP
 from .tensorprod import (
     build_tensor_product,
@@ -24,25 +27,47 @@ from .tensorprod import (
 from .vcat import VCategory, quantale_as_vcategory
 
 
+def left_adjoint_candidates(x: VCategory, f, hom) -> tuple[tuple[int, ...], ...]:
+    """The one candidate l_c = meet_psi [C(c, F psi), psi] for a left
+    adjoint of F : D(x) -> C at each object c, as a presheaf vector; `f`
+    maps a presheaf vector to the index of F psi, `hom` is C's hom matrix.
+    At y only psi_{y,v} = [X(y, -), v] matter, as psi <= psi_{y, psi(y)} and
+    psi_{y,v}(y) <= v: l_c(y) = meet_v [C(c, F psi_{y,v}), v], that is
+    meet_k [C(c, k), M_k(y)] with M_k(y) the meet of the v with
+    F psi_{y,v} = k.  If F G = 1 for a right adjoint G (sup, the
+    reflector), F has a left adjoint at c iff F l_c = c.
+    """
+    q, m = x.quantale, len(x)
+    meets: dict[int, list[int]] = {}
+    for v in range(q.n):
+        if v == q.top:
+            continue  # [u, top] = top: nothing to meet
+        into_v = [res[v] for res in q.hom]  # u |-> [u, v]
+        for y, row in enumerate(x.hom):
+            k = f(tuple(map(into_v.__getitem__, row)))
+            at = meets.setdefault(k, [q.top] * m)
+            at[y] = q.meet[at[y]][v]
+    ks = tuple(meets)
+    rows = (tuple(map(row.__getitem__, ks)) for row in hom)
+    return hom_matrix(q, rows, [tuple(meets[k][y] for k in ks) for y in range(m)])
+
+
 @dataclass(frozen=True, eq=False)
 class TotallyBelowWitness:
     witness: CocompleteWitness
-    t: tuple[int, ...]  # object index -> presheaf index in D(A)
-
-    def below(self, x: int, a: int) -> int:
-        """The degree to which x is totally below a."""
-        return self.witness.dx.vectors[self.t[a]][x]
+    t: tuple[tuple[int, ...], ...]  # t[a][x]: the degree to which x is totally below a
 
 
 def totally_below(wa: CocompleteWitness) -> TotallyBelowWitness:
-    """Left adjoint of sup: t(a) = meet_psi [A(a, sup psi), psi], the one
-    candidate (`PresheafCategory.left_adjoints` with F = sup), is t(a) iff
-    sup t(a) = a.  Raises NotCCD with the first object that fails.
+    """Left adjoint of sup: its one candidate t(a) (`left_adjoint_candidates`
+    with F = sup) is t(a) iff sup t(a) = a.  Raises NotCCD with the first
+    object that fails.  Reads no presheaf of D(A).
     """
     a_cat = wa.base
-    t = wa.dx.left_adjoints(wa.sup_index, a_cat.hom)
+    objs, colimit = range(len(a_cat)), a_cat.kernel.colimit
+    t = left_adjoint_candidates(a_cat, lambda psi: colimit(objs, psi), a_cat.hom)
     for a, down in enumerate(t):
-        if wa.sup_index[down] != a:
+        if colimit(objs, down) != a:
             raise NotCCD("no totally-below presheaf", obj=a_cat.objects[a])
     return TotallyBelowWitness(wa, t)
 
@@ -63,20 +88,12 @@ def ccd_reflector(ta: TotallyBelowWitness, tb: TotallyBelowWitness, values):
     q(xi)(a,b) = meet_{(x,y)} [tb_A(x,a) * tb_B(y,b), xi(x,y)], where tb is
     the totally-below degree.  Agrees with the meet-of-majorants reflector.
     """
-    a_cat, b_cat = ta.witness.base, tb.witness.base
-    q = a_cat.quantale
-    nb = len(b_cat)
-    out = []
-    for a in range(len(a_cat)):
-        for b in range(nb):
-            out.append(
-                q.meet_of(
-                    q.hom[q.mult[ta.below(x, a)][tb.below(y, b)]][values[x * nb + y]]
-                    for x in range(len(a_cat))
-                    for y in range(nb)
-                )
-            )
-    return tuple(out)
+    q = ta.witness.base.quantale
+    return tuple(
+        q.meet_of(q.hom[q.mult[u][w]][v] for (u, w), v in zip(product(down_a, down_b), values))
+        for down_a in ta.t
+        for down_b in tb.t
+    )
 
 
 def dual_object(a: VCategory, node_cap: int = DEFAULT_NODE_CAP):
@@ -175,8 +192,9 @@ def ccd_closure_check(
     if not (is_ccd(a, wa) and is_ccd(b, wb)):
         raise NotCocompleteInput("closure check expects completely distributive factors")
     t = build_tensor_product(a, b, wa, wb, node_cap=node_cap)
-    if not is_ccd(t.carrier, check_cocomplete(t.carrier, node_cap=node_cap)):
+    # the carrier is separated cocomplete by construction, so it is not checked
+    if not is_ccd(t.carrier, CocompleteWitness(t.carrier, node_cap)):
         return False
     # the reflector's left adjoint at k: its one candidate must reflect to k
-    candidates = t.dab.left_adjoints(t.q_mapping, t.carrier.hom)
-    return all(t.q_mapping[c] == k for k, c in enumerate(candidates))
+    candidates = left_adjoint_candidates(t.ab, t.reflect, t.carrier.hom)
+    return all(t.reflect(c) == k for k, c in enumerate(candidates))

@@ -6,17 +6,17 @@ unique when it exists.  `sup_target` spells that formula out;
 `representer`, `tensor_obj`, `join_obj` and `weighted_colimit` evaluate it
 through the category's byte kernel (`VCategory.kernel`), a weighted
 colimit as the supremum of the pushforward `apply_D` without computing the
-pushforward.  `check_cocomplete` asks only for tensors and binary joins, and
-its witness tabulates the suprema on first read; `sup_of` finds one, which
-keeps large but known-cocomplete codomains (functor categories) usable
-without enumerating their presheaves.  Out of a separated cocomplete A, a
-map f : A -> B is cocontinuous exactly when it is a left adjoint, that is
-when every B(f-, c) is a representable presheaf A(-, g c).
-`right_adjoint` finds each such column among A's columns, and
+pushforward.  `check_cocomplete` asks only for tensors and binary joins,
+and its witness enumerates D(X) and tabulates suprema only when read;
+`sup_of` finds one, which keeps large but known-cocomplete codomains
+(functor categories) usable without enumerating their presheaves.  Out of
+a separated cocomplete A, a map f : A -> B is cocontinuous exactly when it
+is a left adjoint, that is when every B(f-, c) is a representable presheaf
+A(-, g c).  `right_adjoint` finds each such column among A's columns, and
 `is_cocontinuous` asks only whether each is there, stopping at the first
-that is not; neither needs D(A).
-Such a map is fixed by its values on `dense_generators`, a set G with
-every x the colimit of G weighted by A(G, x).
+that is not; neither needs D(A).  Such a map is fixed by its values on
+`dense_generators`, a set G with every x the colimit of G weighted by
+A(G, x).
 """
 
 from __future__ import annotations
@@ -66,7 +66,12 @@ def sup_of(x: VCategory, values) -> int:
 @dataclass(frozen=True, eq=False)
 class CocompleteWitness:
     base: VCategory
-    dx: PresheafCategory
+    node_cap: int = DEFAULT_NODE_CAP  # for dx
+
+    @cached_property
+    def dx(self) -> PresheafCategory:
+        """D(base), enumerated under `node_cap` on first read."""
+        return enumerate_presheaves(self.base, self.node_cap)
 
     @cached_property
     def sup_index(self) -> tuple[int, ...]:
@@ -91,19 +96,21 @@ def check_cocomplete(
     x: VCategory, dx: PresheafCategory | None = None, node_cap: int = DEFAULT_NODE_CAP
 ) -> CocompleteWitness:
     """Raises NotSeparated / NotCocomplete(failing), else the witness on D(x).
-    Decided by `has_tensors_and_joins`; `failing` is the first presheaf in
+    Decided by `has_tensors_and_joins`; D(x), `dx` if given, else enumerated
+    under `node_cap`, is read only to name `failing`, the first presheaf in
     D(x) order with no supremum."""
     pair = separation_witness(x)
     if pair is not None:
         raise NotSeparated(
             f"not separated: {x.objects[pair[0]]} ~ {x.objects[pair[1]]}", witness=pair
         )
-    if dx is None:
-        dx = enumerate_presheaves(x, node_cap)
+    witness = CocompleteWitness(x, node_cap)
+    if dx is not None:
+        vars(witness)["dx"] = dx  # the cached value of the property
     if not (len(x) and has_tensors_and_joins(x)):
-        for values in dx.vectors:
+        for values in witness.dx.vectors:
             sup_of(x, values)  # raises at the first presheaf with no supremum
-    return CocompleteWitness(x, dx)
+    return witness
 
 
 def has_tensors_and_joins(x: VCategory) -> bool:

@@ -52,27 +52,6 @@ class PresheafCategory:
             self._cat = presheaf_subcategory(self.base, self.vectors)
         return self._cat
 
-    def left_adjoints(self, labels, hom) -> tuple[int, ...]:
-        """For F : D(X) -> C given by `labels` (the index of F psi for each
-        presheaf psi) and C's hom matrix, the index of the one candidate
-        l_c = meet_psi [C(c, F psi), psi] for each object c: any l with
-        DX(l, psi) = C(c, F psi) for every psi lies below each cotensor,
-        and l_c's row is at least C(c, F -).
-
-        [v, -] preserves meets, so l_c = meet_k [C(c, k), M_k], M_k the
-        pointwise meet of the fiber {psi : F psi = k}: one pass over D(X)
-        and one `hom_matrix`.  If F G = 1 for a right adjoint G (sup, the
-        reflector), F has a left adjoint at c exactly when F l_c = c, so the
-        caller decides by one evaluation.
-        """
-        q = self.base.quantale
-        top = (q.top,) * len(self.base)
-        fibers = [[top] for _ in hom]
-        for k, psi in zip(labels, self.vectors, strict=True):
-            fibers[k].append(psi)
-        meets = [tuple(q.meet_of(set(col)) for col in zip(*fiber)) for fiber in fibers]
-        return tuple(map(self.index.__getitem__, hom_matrix(q, hom, zip(*meets))))
-
 
 def presheaf_hom(q: Quantale, phi, psi) -> int:
     """DX(phi, psi) = meet_x [phi(x), psi(x)]."""

@@ -200,10 +200,10 @@ class TensorProduct:
     """The carrier of A (x) B with its reflector and universal bimorphism.
 
     Only the carrier, the full subcategory of D(A (x) B) on the ideals, is
-    built eagerly.  D(A (x) B) (`dab`), the reflector as `q_mapping` and the
-    bimorphism `i` are computed on first access and cached.  Reading `dab`
-    or `q_mapping` enumerates D(A (x) B) under `node_cap` and may raise
-    SizeExceeded; neither builds the hom matrix `dab.cat`.
+    built eagerly.  D(A (x) B) (`dab`) and the bimorphism `i` are computed
+    on first access and cached.  Reading `dab` enumerates D(A (x) B) under
+    `node_cap` and may raise SizeExceeded; it does not build the hom matrix
+    `dab.cat`.
     """
 
     wa: CocompleteWitness
@@ -236,11 +236,6 @@ class TensorProduct:
     def dab(self) -> PresheafCategory:
         """D(A (x) B), enumerated under `node_cap`."""
         return enumerate_presheaves(self.ab, self.node_cap)
-
-    @cached_property
-    def q_mapping(self) -> tuple[int, ...]:
-        """Dab index -> carrier index, the reflector."""
-        return tuple(self.reflect(xi) for xi in self.dab.vectors)
 
 
 def _witness_for(x: VCategory, name: str, node_cap: int) -> CocompleteWitness:

@@ -2,12 +2,13 @@
 the chains, M3, the pentagon N5, and H2; the Lukasiewicz and Heyting
 chain quantales; the hypothesis strategy `random_categories`; and the
 test-only helpers `try_cocomplete`, `cocomplete_by_sup_table`,
-`is_presheaf_vector` and `hom_ij`."""
+`left_adjoints`, `is_presheaf_vector` and `hom_ij`."""
 
 from hypothesis import strategies as st
 
 from vqcat.cocomplete import check_cocomplete, sup_target
 from vqcat.errors import NotCocomplete, NotSeparated
+from vqcat.kernel import hom_matrix
 from vqcat.presheaf import DEFAULT_NODE_CAP, enumerate_presheaves, presheaf_hom
 from vqcat.quantale import BUILTIN_NAMES, builtin, validate_quantale
 from vqcat.vcat import is_separated, quantale_as_vcategory, row_object, validate_vcategory
@@ -103,6 +104,23 @@ def cocomplete_by_sup_table(x, dx=None):
             return None, values
         table.append(b)
     return tuple(table), None
+
+
+def left_adjoints(dx, labels, hom):
+    """The fold over all of D(X), the oracle for
+    `ccd.left_adjoint_candidates`.  For F : D(X) -> C given by `labels` (the
+    index of F psi for each presheaf psi) and C's hom matrix, the index of
+    the candidate l_c = meet_psi [C(c, F psi), psi] for each object c.
+    [v, -] preserves meets, so l_c = meet_k [C(c, k), M_k], M_k the
+    pointwise meet of the fiber {psi : F psi = k}: one pass over D(X) and
+    one `hom_matrix`."""
+    q = dx.base.quantale
+    top = (q.top,) * len(dx.base)
+    fibers = [[top] for _ in hom]
+    for k, psi in zip(labels, dx.vectors, strict=True):
+        fibers[k].append(psi)
+    meets = [tuple(q.meet_of(set(col)) for col in zip(*fiber)) for fiber in fibers]
+    return tuple(map(dx.index.__getitem__, hom_matrix(q, hom, zip(*meets))))
 
 
 def is_presheaf_vector(x, values) -> bool:

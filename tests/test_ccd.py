@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 import vqcat
 from vqcat.ccd import (
@@ -13,11 +14,12 @@ from vqcat.ccd import (
     dual_object,
     is_ccd,
     is_nuclear,
+    left_adjoint_candidates,
     totally_below,
 )
 from vqcat.cocomplete import check_cocomplete, is_cocontinuous
 from vqcat.dist import functor_hom, identity_functor
-from vqcat.errors import NotCCD, SizeExceeded
+from vqcat.errors import NotCCD, NotCocomplete, NotSeparated, SizeExceeded
 from vqcat.presheaf import (
     D_on_functor,
     PresheafCategory,
@@ -26,7 +28,7 @@ from vqcat.presheaf import (
     presheaf_hom,
     yoneda,
 )
-from vqcat.quantale import BUILTIN_NAMES, builtin
+from vqcat.quantale import BUILTIN_NAMES, builtin, validate_quantale
 from vqcat.tensorprod import (
     build_tensor_product,
     check_universal_property,
@@ -36,15 +38,22 @@ from vqcat.tensorprod import (
     vsup_category,
 )
 from vqcat.textio import parse_files
-from vqcat.vcat import opposite, quantale_as_vcategory, row_object, terminal_category
+from vqcat.vcat import (
+    opposite,
+    quantale_as_vcategory,
+    row_object,
+    terminal_category,
+    validate_vcategory,
+)
 
 from categories import (
     NOT_CCD,
     ORACLE_CATEGORIES,
     diamond_m3,
-    hom_ij,
+    left_adjoints,
     oracle_category,
     poset,
+    random_categories,
 )
 
 DATA = Path(vqcat.__file__).parent / "data"
@@ -60,9 +69,10 @@ def test_totally_below_is_adjoint_to_sup(v_luk):
     w = check_cocomplete(v_luk)
     t = totally_below(w)
     # DA(t a, phi) = A(a, sup phi), elementwise
+    q = v_luk.quantale
     for a in range(len(v_luk)):
-        for k in range(len(w.dx)):
-            assert hom_ij(w.dx, t.t[a], k) == v_luk.hom[a][w.sup_index[k]]
+        for k, phi in enumerate(w.dx.vectors):
+            assert presheaf_hom(q, t.t[a], phi) == v_luk.hom[a][w.sup_index[k]]
 
 
 def test_free_category_totally_below_is_D_of_yoneda(chain2):
@@ -72,7 +82,7 @@ def test_free_category_totally_below_is_D_of_yoneda(chain2):
     t = totally_below(w)
     y = yoneda(chain2, dx)
     dy = D_on_functor(y, dx, w.dx)
-    assert t.t == dy.mapping
+    assert t.t == tuple(w.dx.vectors[k] for k in dy.mapping)
 
 
 def test_m3_not_ccd(two):
@@ -147,7 +157,7 @@ def test_ccd_closure_chain2(chain2):
 def candidate_fold(dx, row):
     """The index of meet_k [row_k, psi_k] over the presheaves psi_k of D(X),
     folded one presheaf at a time: the definitional form of the candidates
-    that `PresheafCategory.left_adjoints` reads off the fiber meets."""
+    that `categories.left_adjoints` reads off the fiber meets."""
     q = dx.base.quantale
     cand = [q.top] * len(dx.base)
     for v, psi in zip(row, dx.vectors, strict=True):
@@ -177,7 +187,12 @@ def search_totally_below(wa):
     ]
 
 
-def search_reflector_left_adjoint(t):
+def reflector_indices(t):
+    """D(A (x) B) index -> carrier index, the reflector."""
+    return tuple(t.reflect(xi) for xi in t.dab.vectors)
+
+
+def search_reflector_left_adjoint(t, q_map):
     """Per carrier object k, the first presheaf l on A (x) B with
     D(A (x) B)(l, xi) = carrier(k, q xi) for every xi, or None."""
     q = t.ab.quantale
@@ -188,7 +203,7 @@ def search_reflector_left_adjoint(t):
                 c
                 for c, phi in enumerate(vecs)
                 if all(
-                    presheaf_hom(q, phi, xi) == t.carrier.hom[k][t.q_mapping[r]]
+                    presheaf_hom(q, phi, xi) == t.carrier.hom[k][q_map[r]]
                     for r, xi in enumerate(vecs)
                 )
             ),
@@ -207,14 +222,14 @@ def test_totally_below_row_lookup_matches_search(name):
     found = search_totally_below(w)
     rows = [tuple(x.hom[a][s] for s in w.sup_index) for a in range(len(x))]
     assert [row_object(w.dx.cat, row) for row in rows] == found
-    cands = w.dx.left_adjoints(w.sup_index, x.hom)
+    cands = left_adjoints(w.dx, w.sup_index, x.hom)
     assert [c if w.sup_index[c] == a else None for a, c in enumerate(cands)] == found
     if None in found:
         with pytest.raises(NotCCD) as exc:
             totally_below(w)
         assert exc.value.obj == x.objects[found.index(None)]
     else:
-        assert list(totally_below(w).t) == found
+        assert [w.dx.index[down] for down in totally_below(w).t] == found
     assert (name in NOT_CCD) == (None in found)
 
 
@@ -225,15 +240,16 @@ def test_reflector_left_adjoint_row_lookup_matches_search(name):
     x = oracle_category(name)
     t = build_tensor_product(x, x)
     q = x.quantale
+    q_map = reflector_indices(t)
     # the reflector against the meet of the majorants
-    assert [t.ideal_vectors[k] for k in t.q_mapping] == [
+    assert [t.ideal_vectors[k] for k in q_map] == [
         reflect_vector(q, t.ideal_vectors, xi) for xi in t.dab.vectors
     ]
-    found = search_reflector_left_adjoint(t)
-    rows = [tuple(hk[r] for r in t.q_mapping) for hk in t.carrier.hom]
+    found = search_reflector_left_adjoint(t, q_map)
+    rows = [tuple(hk[r] for r in q_map) for hk in t.carrier.hom]
     assert [row_object(t.dab.cat, row) for row in rows] == found
-    cands = t.dab.left_adjoints(t.q_mapping, t.carrier.hom)
-    assert [c if t.q_mapping[c] == k else None for k, c in enumerate(cands)] == found
+    cands = left_adjoints(t.dab, q_map, t.carrier.hom)
+    assert [c if q_map[c] == k else None for k, c in enumerate(cands)] == found
     assert (name == "H2") == (None in found)
     if is_ccd(x):
         assert ccd_closure_check(x, x)
@@ -247,7 +263,8 @@ def test_presheaf_row_object_matches_matrix_lookup(name):
     dx = enumerate_presheaves(oracle_category(name))
     dcat = dx.cat
     n = dx.base.quantale.n
-    assert dx.left_adjoints(range(len(dx)), dcat.hom) == tuple(range(len(dx)))
+    assert left_adjoints(dx, range(len(dx)), dcat.hom) == tuple(range(len(dx)))
+    assert left_adjoint_candidates(dx.base, dx.index.__getitem__, dcat.hom) == dx.vectors
     for k, row in enumerate(dcat.hom):
         assert candidate_fold(dx, row) == k
         for p in range(len(row)):
@@ -256,25 +273,91 @@ def test_presheaf_row_object_matches_matrix_lookup(name):
                 assert row_object(dcat, other) in (None, candidate_fold(dx, other))
 
 
+def sup_candidates(x):
+    """`left_adjoint_candidates` for F = sup : D(x) -> x."""
+    objs, colimit = range(len(x)), x.kernel.colimit
+    return left_adjoint_candidates(x, lambda psi: colimit(objs, psi), x.hom)
+
+
 @pytest.mark.parametrize(
     "labelling, name",
-    [(f, n) for f in ("sup", "const") for n in ORACLE_CATEGORIES]
+    [(f, n) for f in ("sup", "const") for n in ORACLE_CATEGORIES + ["chain5", "chain6", "bool3"]]
     + [("q", n) for n in ORACLE_CATEGORIES if n not in ("M3", "N5")],
 )
 def test_left_adjoints_match_candidate_fold(labelling, name):
     # the fiber meets give the per-presheaf fold's candidate for F = sup on
     # D(A), for F = the reflector on D(A (x) A), and for a constant F, whose
-    # other fibers are empty
+    # other fibers are empty; the |X|.|V| cotensor presheaves [X(y, -), v]
+    # give the same candidates, vector for vector
     x = oracle_category(name)
     if labelling != "q":
         w = check_cocomplete(x)
         dx, hom = w.dx, x.hom
         labels = w.sup_index if labelling == "sup" else (0,) * len(dx)
+        cands = sup_candidates(x) if labelling == "sup" else left_adjoint_candidates(
+            x, lambda psi: 0, hom
+        )
     else:
         t = build_tensor_product(x, x)
-        dx, labels, hom = t.dab, t.q_mapping, t.carrier.hom
+        dx, labels, hom = t.dab, reflector_indices(t), t.carrier.hom
+        cands = left_adjoint_candidates(t.ab, t.reflect, hom)
     expected = tuple(candidate_fold(dx, tuple(hc[k] for k in labels)) for hc in hom)
-    assert dx.left_adjoints(labels, hom) == expected
+    assert left_adjoints(dx, labels, hom) == expected
+    assert cands == tuple(dx.vectors[i] for i in expected)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(random_categories([builtin(n) for n in BUILTIN_NAMES], max_objects=3))
+def test_cotensor_candidates_for_sup_match_the_fold_on_random_categories(x):
+    # 200 separated cocomplete categories: the others are filtered out
+    try:
+        w = check_cocomplete(x)
+    except (NotSeparated, NotCocomplete):
+        assume(False)
+    fold = left_adjoints(w.dx, w.sup_index, x.hom)
+    assert sup_candidates(x) == tuple(w.dx.vectors[i] for i in fold)
+
+
+def test_cotensor_candidates_over_the_one_element_quantale():
+    # there every v is top, so no cotensor presheaf is evaluated and each
+    # candidate is the top presheaf
+    one = validate_quantale(("0",), ((True,),), ((0,),), 0)
+    x = validate_vcategory(one, ("p",), ((0,),))
+    assert sup_candidates(x) == left_adjoint_candidates(x, lambda psi: 0, x.hom) == ((0,),)
+    assert is_ccd(x)
+
+
+@pytest.mark.parametrize("name", ["chain6", "bool3"])
+def test_ccd_closure_check_answers_past_the_presheaf_frontier(name):
+    # D(chain6 (x) chain6) and D(carrier) of bool3 (x) bool3 lie past the
+    # default cap; the check reads neither
+    x = oracle_category(name)
+    assert ccd_closure_check(x, x)
+
+
+@pytest.mark.parametrize("name", ["chain3", "V-lukasiewicz3", "H2", "M3"])
+def test_ccd_decisions_enumerate_no_presheaf(monkeypatch, name):
+    calls = []
+
+    def refuse(x, *args, **kwargs):
+        calls.append(x)
+        raise AssertionError("a presheaf category was enumerated")
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("vqcat") and hasattr(module, "enumerate_presheaves"):
+            monkeypatch.setattr(module, "enumerate_presheaves", refuse)
+    x = oracle_category(name)
+    w = check_cocomplete(x)
+    assert is_ccd(x) == (name not in NOT_CCD)
+    if name in NOT_CCD:
+        with pytest.raises(NotCCD):
+            totally_below(w)
+    else:
+        totally_below(w)
+        assert ccd_closure_check(x, x)
+    assert calls == []
 
 
 DECISIONS = {
@@ -338,7 +421,7 @@ def test_left_adjoints_make_no_presheaf_hom_call(monkeypatch, name):
     else:
         totally_below(w)
     t.i
-    t.q_mapping
+    reflector_indices(t)
     assert calls == []
     if name not in NOT_CCD:
         assert ccd_closure_check(x, x)
@@ -361,22 +444,50 @@ def test_hom_matrices_make_no_scalar_hom_call(monkeypatch, name):
 
 
 def test_node_cap_reaches_the_factors_witness():
-    # given no witness, each decision enumerates D(x) under its own node cap
+    # check_cocomplete starts no search, but its witness enumerates D(x)
+    # under the cap it was given once `dx` is read; each sup-map search
+    # stops at its own cap, and vluk's least cap is 3
     x = parse_files([str(DATA / "vluk.vcat")]).vcats["V"]
-    for decide in (check_cocomplete, is_nuclear, check_main_theorem):
-        with pytest.raises(SizeExceeded, match="presheaf enumeration exceeded 5 nodes"):
-            decide(x, node_cap=5)
+    w = check_cocomplete(x, node_cap=5)
+    assert w.node_cap == 5 and is_ccd(x, w)
     with pytest.raises(SizeExceeded, match="presheaf enumeration exceeded 5 nodes"):
-        ccd_closure_check(x, x, node_cap=5)
+        w.dx
+    assert len(check_cocomplete(x, node_cap=16).dx) == 8
+    decisions = (
+        lambda cap: is_nuclear(x, node_cap=cap),
+        lambda cap: check_main_theorem(x, node_cap=cap).consistent,
+        lambda cap: ccd_closure_check(x, x, node_cap=cap),
+    )
+    for decide in decisions:
+        with pytest.raises(SizeExceeded, match="functor enumeration exceeded 2 nodes"):
+            decide(2)
+        assert decide(3)
 
 
 @pytest.mark.parametrize("cap", range(19, 30))
 def test_ccd_closure_check_raises_when_the_carrier_search_is_capped(cap):
-    # caps 19 to 29 let the factors' and the Galois searches finish and stop
-    # the carrier's presheaf search: a capped search is no verdict
-    x = oracle_category("chain3")
-    with pytest.raises(SizeExceeded, match=f"presheaf enumeration exceeded {cap} nodes"):
+    # the carrier's one search, for the sup-maps chain4 -> chain4^op, needs
+    # 34 nodes: a capped search is no verdict
+    x = oracle_category("chain4")
+    with pytest.raises(SizeExceeded, match=f"functor enumeration exceeded {cap} nodes"):
         ccd_closure_check(x, x, node_cap=cap)
+
+
+@pytest.mark.parametrize(
+    "name, nodes, least",
+    [("chain3", 9, 12), ("chain4", 34, 100), ("V-lukasiewicz3", 3, 3)],
+)
+def test_ccd_closure_check_least_cap(name, nodes, least):
+    # the carrier's sup-map search is the only search left: below `nodes`
+    # its node count stops it, below `least` its count guard does (k^2 >
+    # cap x |A| for the k sup-maps found); from `least` on there is a verdict
+    x = oracle_category(name)
+    with pytest.raises(SizeExceeded, match=f"functor enumeration exceeded {nodes - 1} nodes"):
+        ccd_closure_check(x, x, node_cap=nodes - 1)
+    if nodes < least:
+        with pytest.raises(SizeExceeded, match=f"sup-map count exceeded {least - 1} nodes"):
+            ccd_closure_check(x, x, node_cap=least - 1)
+    assert ccd_closure_check(x, x, node_cap=least)
 
 
 def test_ccd_closure_on_the_frontier():

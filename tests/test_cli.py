@@ -300,8 +300,15 @@ def test_tensor_file_without_vcategory_is_bad_input(chain2_file, tmp_path, capsy
 
 
 def test_tensor_factor_check_obeys_node_cap(vluk_file, capsys):
-    # the factors' presheaf enumeration is capped, as in `vq check cocomplete`
-    assert main(["check", "cocomplete", "--caps", "8,8,5", vluk_file]) == 3
-    assert "presheaf enumeration exceeded 5 nodes" in capsys.readouterr().err
-    assert main(["tensor", "--caps", "8,8,5", vluk_file, vluk_file]) == 3
-    assert "presheaf enumeration exceeded 5 nodes" in capsys.readouterr().err
+    # D(vluk) needs 16 nodes: the commands that list it stop at 5, while
+    # `vq check cocomplete` and the factor checks of `vq tensor` enumerate
+    # no presheaf, and the tensor's sup-map search needs 3 nodes
+    for command in ("presheaves", "cauchy"):
+        assert main([command, "--caps", "8,8,5", vluk_file]) == 3
+        assert "presheaf enumeration exceeded 5 nodes" in capsys.readouterr().err
+    assert main(["check", "cocomplete", "--caps", "8,8,5", vluk_file]) == 0
+    assert capsys.readouterr().out == "vcategory V: cocomplete\n"
+    assert main(["tensor", "--caps", "8,8,2", vluk_file, vluk_file]) == 3
+    assert "functor enumeration exceeded 2 nodes" in capsys.readouterr().err
+    assert main(["tensor", "--caps", "8,8,3", vluk_file, vluk_file]) == 0
+    assert "carrier has 3 ideal presheaves" in capsys.readouterr().out

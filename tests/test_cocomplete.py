@@ -333,6 +333,9 @@ def test_check_cocomplete_reads_no_presheaf(monkeypatch, name):
     assert (sups, reps) == ([], [])
     assert len(folds) == m * x.quantale.n + m * (m - 1) // 2
     assert "sup_index" not in vars(w)
+    # D(x) is the one handed in, and without one it is not enumerated
+    assert w.dx is dx
+    assert "dx" not in vars(check_cocomplete(x))
 
 
 def _data_categories():

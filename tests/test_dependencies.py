@@ -10,7 +10,11 @@ And it encodes vectors in one place: only `kernel.py` names `Planes`,
 calls `int.from_bytes`, `int.to_bytes` or a `translate` method, or reads
 `tables.decode` or `tables.planes`.  And it enumerates V-functors
 only on dense generators: `enumerate_vfunctors` is read in one function,
-`tensorprod.enumerate_extensions`."""
+`tensorprod.enumerate_extensions`.  And no decision enumerates D(X):
+`enumerate_presheaves` is read only where D(X) itself is asked for, by
+`CocompleteWitness.dx`, `TensorProduct.dab`, the `vq presheaves` and
+`vq cauchy` commands, the `presheaves` constructor of the text format and
+the corpus's Cauchy instance."""
 
 import ast
 import sys
@@ -64,12 +68,15 @@ def reads(node, target):
 
 def reading_functions(tree, target):
     """The name of the innermost function around each read of `target`
-    (as `name_reads` counts them), or "<module>" outside every function."""
+    (as `name_reads` counts them), "Class.name" for a method, or "<module>"
+    outside every function."""
 
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 inner = getattr(child, "name", owner)
+                if isinstance(node, ast.ClassDef):
+                    inner = f"{node.name}.{inner}"
             else:
                 inner = owner
             if reads(child, target):
@@ -272,5 +279,52 @@ def test_guard_sees_a_second_vfunctor_enumeration_site():
     assert list(reading_functions(tree, "enumerate_vfunctors")) == [
         "enumerate_extensions",
         "filtered",
+        "<module>",
+    ]
+
+
+PRESHEAF_ENUMERATION_SITES = [
+    "cli.py:_cmd_presheaves",
+    "cli.py:_cmd_cauchy",
+    "cocomplete.py:CocompleteWitness.dx",
+    "corpus.py:_cauchy_chain2",
+    "tensorprod.py:TensorProduct.dab",
+    "textio.py:_derived_vcat",
+]
+
+
+def test_presheaves_enumerated_only_where_read():
+    sites = [
+        f"{path.name}:{owner}"
+        for path in SOURCES
+        for owner in reading_functions(
+            ast.parse(path.read_text(encoding="utf-8")), "enumerate_presheaves"
+        )
+    ]
+    assert sites == PRESHEAF_ENUMERATION_SITES
+
+
+def test_guard_sees_a_presheaf_enumeration_in_a_decision():
+    tree = ast.parse(
+        "from .presheaf import enumerate_presheaves\n"
+        "class CocompleteWitness:\n"
+        "    def dx(self):\n"
+        "        return enumerate_presheaves(self.base, self.node_cap)\n"
+        "    def sup_index(self):\n"
+        "        return [sup(v) for v in presheaf.enumerate_presheaves(self.base).vectors]\n"
+        "def dx(x):\n"
+        "    return enumerate_presheaves(x)\n"
+        "def check_cocomplete(x, dx=None, node_cap=9):\n"
+        "    dx = dx or enumerate_presheaves(x, node_cap)\n"
+        "    def scan():\n"
+        "        return map(sup_of, enumerate_presheaves(x).vectors)\n"
+        "everything = enumerate_presheaves(x)\n"
+    )
+    assert list(reading_functions(tree, "enumerate_presheaves")) == [
+        "CocompleteWitness.dx",
+        "CocompleteWitness.sup_index",
+        "dx",
+        "check_cocomplete",
+        "scan",
         "<module>",
     ]

@@ -171,7 +171,7 @@ def test_galois_carrier_matches_definitional_filter(factors, name, partner):
             xi for xi in t.dab.vectors if naive_is_g_ideal(t.wa, t.wb, xi)
         )
     q = t.ab.quantale
-    assert tuple(t.ideal_vectors[k] for k in t.q_mapping) == tuple(
+    assert tuple(reflector_q(t, xi) for xi in t.dab.vectors) == tuple(
         reflect_vector(q, ideals, xi) for xi in t.dab.vectors
     )
 
@@ -382,22 +382,21 @@ def test_build_enumerates_no_presheaves(m3, enumerated):
     t = build_tensor_product(m3, m3, w, w, node_cap=10_000)
     assert len(t.carrier) == 50
     assert is_bimorphism(t.i, m3, m3)
-    assert enumerated == [m3]
+    assert enumerated == []
     # D(A (x) B) is enumerated only when dab is read, and is size-guarded
     with pytest.raises(SizeExceeded, match="presheaf enumeration exceeded 10000 nodes"):
         t.dab
-    assert enumerated == [m3, t.ab]
+    assert enumerated == [t.ab]
 
 
 def test_sup_map_checks_enumerate_only_their_inputs(chain2, v_two, enumerated):
     # the sup-maps out of the carrier and out of A* are found without
-    # D(carrier) or D(A*): only the factors, the test codomain and A are
-    # enumerated, to check that they are separated cocomplete
+    # D(carrier) or D(A*), and the factors, the test codomain and A are
+    # checked separated cocomplete by tensors and joins: nothing is enumerated
     assert check_universal_property(chain2, chain2, v_two)
-    assert enumerated == [chain2, chain2, v_two]
-    enumerated.clear()
+    assert enumerated == []
     assert star_autonomy_check(v_two)
-    assert enumerated == [v_two]
+    assert enumerated == []
 
 
 def test_chain2_square_has_two_ideals(chain2, t_chain2):
@@ -486,11 +485,12 @@ def test_reflector_of_bottom_is_least_ideal(t_chain2):
 def test_reflector_adjoint_to_inclusion(t_chain2):
     # q(theta) <= xi in the carrier iff theta <= xi in D(A(x)B)
     t = t_chain2
-    assert t.q_mapping[t.dab.index[t.ideal_vectors[0]]] == 0
+    q_map = tuple(t.reflect(xi) for xi in t.dab.vectors)
+    assert q_map[t.dab.index[t.ideal_vectors[0]]] == 0
     dcat = t.dab.cat
     for di in range(len(t.dab)):
         for k in range(len(t.carrier)):
-            lhs = t.carrier.hom[t.q_mapping[di]][k]
+            lhs = t.carrier.hom[q_map[di]][k]
             rhs = dcat.hom[di][t.dab.index[t.ideal_vectors[k]]]
             assert lhs == rhs
 
@@ -549,7 +549,7 @@ def test_bimorphism_square(chain2, t_chain2):
         for kb, psi in enumerate(t.wb.dx.vectors):
             p = t.wa.sup_index[ka] * len(chain2) + t.wb.sup_index[kb]
             lhs = t.i.mapping[p]
-            rhs = t.q_mapping[t.dab.index[d2_vector(q, phi, psi)]]
+            rhs = t.reflect(d2_vector(q, phi, psi))
             assert lhs == rhs
 
 
