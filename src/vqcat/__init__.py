@@ -69,7 +69,6 @@ from .ccd import (
     ccd_closure_check,
     ccd_reflector,
     check_main_theorem,
-    dual_object,
     is_ccd,
     is_nuclear,
     totally_below,

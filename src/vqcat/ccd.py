@@ -4,27 +4,23 @@ A category is completely distributive when taking suprema has itself a left
 adjoint t; t(a) is the "totally below a" presheaf, decided like every left
 adjoint out of D(X) without enumerating D(X) (`left_adjoint_candidates`).
 The main cross-check is that this property coincides with nuclearity: the
-canonical map from A (x) A* into the endo-map category is an isomorphism.
+canonical map F from A (x) A* into the endo sup-maps [A, A] is an
+isomorphism.  `is_nuclear` decides that from the images under F of the
+ideals of A (x) A*, one per sup-map A -> A*^op, so it builds neither the
+carrier nor a hom matrix of it or of [A, A].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
 
-from .cocomplete import CocompleteWitness, check_cocomplete, tensor_obj
-from .dist import VFunctor
-from .errors import NoSuchColimit, NotCCD, NotCocompleteInput
+from .cocomplete import CocompleteWitness, check_cocomplete
+from .errors import NotCCD, NotCocompleteInput
 from .kernel import hom_matrix
 from .presheaf import DEFAULT_NODE_CAP
-from .tensorprod import (
-    build_tensor_product,
-    extend_bimorphism,
-    is_bimorphism,
-    vsup_category,
-)
-from .vcat import VCategory, quantale_as_vcategory
+from .tensorprod import build_tensor_product, enumerate_cocontinuous, vsup_category
+from .vcat import VCategory, opposite, quantale_as_vcategory
 
 
 def left_adjoint_candidates(x: VCategory, f, hom) -> tuple[tuple[int, ...], ...]:
@@ -96,63 +92,35 @@ def ccd_reflector(ta: TotallyBelowWitness, tb: TotallyBelowWitness, values):
     )
 
 
-def dual_object(a: VCategory, node_cap: int = DEFAULT_NODE_CAP):
-    """Sup-map category of the separated cocomplete a into V, with its own
-    cocompleteness witness."""
-    v = quantale_as_vcategory(a.quantale)
-    cat, funs = vsup_category(a, v, node_cap)
-    return cat, funs, check_cocomplete(cat, node_cap=node_cap)
-
-
 def is_nuclear(
     x: VCategory,
     wa: CocompleteWitness | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> bool:
-    """The pairing map of A with its dual hits every endo-sup-map exactly once.
+    """A is nuclear iff F : A (x) A* -> [A, A], the extension of the pairing
+    bimorphism (a, h) |-> (z |-> h(z) (x) a), is an isomorphism onto the
+    endo sup-maps.
 
-    Builds T = A (x) A*, the endo category H, and the extension of the
-    bimorphism (a, h) |-> (z |-> h(z) (x) a); nuclear iff that extension is
-    an isomorphism of the carrier onto H.
+    The carrier's objects are the ideals zeta_f(a, h) = A*(h, f a) of the
+    sup-maps f : A -> A*^op (Galois correspondence), and by Yoneda
+    F zeta_f(z) = colim_a (f a)(z) (x) a, one kernel colimit per z.  F is a
+    sup-map between separated cocomplete categories, so a bijective F is an
+    isomorphism: v (x) F u <= F w gives F((v (x) u) v w) = F w, hence
+    (v (x) u) v w = w, that is v (x) u <= w.  So A is nuclear iff
+    f |-> F zeta_f hits every endo sup-map exactly once.
     """
     if wa is None:
-        wa = check_cocomplete(x, node_cap=node_cap)
-    dual, funs, wdual = dual_object(x, node_cap)
-    h_cat, h_funs = vsup_category(x, x, node_cap)
-    h_index = {f.mapping: k for k, f in enumerate(h_funs)}
-    t = build_tensor_product(x, dual, wa, wdual, node_cap=node_cap)
-    if len(t.carrier) != len(h_cat):
-        return False
-
-    beta = []
-    try:
-        for a in range(len(x)):
-            for h in funs:
-                endo = tuple(
-                    tensor_obj(x, h.mapping[z], a) for z in range(len(x))
-                )
-                if endo not in h_index:
-                    return False
-                beta.append(h_index[endo])
-    except NoSuchColimit:
-        return False
-    beta_fun = VFunctor(t.ab, h_cat, tuple(beta))
-    if not is_bimorphism(beta_fun, x, dual):
-        return False
-    try:
-        big = extend_bimorphism(t, beta_fun)
-    except NoSuchColimit:
-        return False
-    if len(set(big.mapping)) != len(h_cat):
-        return False
-    # row bk of H read at big.mapping; one index would make `itemgetter`
-    # return the entry itself, not a 1-tuple
-    if len(h_cat) > 1:
-        pick = itemgetter(*big.mapping)
-    else:
-        def pick(row):
-            return tuple(row[k] for k in big.mapping)
-    return all(row == pick(h_cat.hom[bk]) for row, bk in zip(t.carrier.hom, big.mapping))
+        check_cocomplete(x, node_cap=node_cap)
+    objs, colimit = range(len(x)), x.kernel.colimit
+    dual, funs = vsup_category(x, quantale_as_vcategory(x.quantale), node_cap)
+    endos = [f.mapping for f in enumerate_cocontinuous(x, x, node_cap)]
+    maps = enumerate_cocontinuous(x, opposite(dual), node_cap)
+    # column z of the (f a)(z) is the weight of F zeta_f(z); the endo
+    # sup-maps come in mapping order, so equal sorted lists are a bijection
+    return endos == sorted(
+        tuple(colimit(objs, col) for col in zip(*(funs[k].mapping for k in f.mapping)))
+        for f in maps
+    )
 
 
 @dataclass(frozen=True)

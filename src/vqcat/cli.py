@@ -179,6 +179,14 @@ def _hom_comment(q) -> str:
     return "\n".join(lines)
 
 
+def _named(table: dict, kind: str, name: str):
+    """The workspace's `kind` named `name`; VqError if it defines none."""
+    try:
+        return table[name]
+    except KeyError:
+        raise VqError(f"unknown {kind} {name!r}") from None
+
+
 def _vcat_name(ws: Workspace, cat) -> str:
     for name, x in ws.vcats.items():
         if x == cat:
@@ -206,7 +214,9 @@ def _cmd_quantale(args, caps) -> int:
 def _cmd_vcat(args, caps) -> int:
     ws = _load(args.files if hasattr(args, "files") else [], caps)
     if args.action == "tensor":
-        t = tensor_vcat(ws.vcats[args.left], ws.vcats[args.right])
+        t = tensor_vcat(
+            _named(ws.vcats, "vcategory", args.left), _named(ws.vcats, "vcategory", args.right)
+        )
         qname = ws.vcat_quantale[args.left]
         print(show_vcategory(f"{args.left}x{args.right}", qname, t), end="")
         return 0
@@ -333,14 +343,18 @@ def _cmd_tensor(args, caps) -> int:
 
 def _cmd_dist(args, caps) -> int:
     ws = _load(args.files, caps)
+
+    def dist(name):
+        return _named(ws.dists, "distributor", name)
+
     if args.action == "compose":
-        res = compose_dist(ws.dists[args.outer], ws.dists[args.inner])
+        res = compose_dist(dist(args.outer), dist(args.inner))
         name = f"{args.outer}.{args.inner}"
     elif args.action == "ext":
-        res = right_extension(ws.dists[args.xi], ws.dists[args.phi])
+        res = right_extension(dist(args.xi), dist(args.phi))
         name = f"ext_{args.xi}_{args.phi}"
     else:
-        res = right_lifting(ws.dists[args.psi], ws.dists[args.xi])
+        res = right_lifting(dist(args.psi), dist(args.xi))
         name = f"lift_{args.psi}_{args.xi}"
     print(
         show_distributor(name, _vcat_name(ws, res.dom), _vcat_name(ws, res.cod), res),

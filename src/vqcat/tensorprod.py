@@ -84,9 +84,11 @@ def enumerate_extensions(dom: VCategory, gens, cod: VCategory, node_cap: int, ke
     dom(gens, x), read from `cod.kernel`; a g with no such colimit has no
     extension.  In a cod that is not separated every object with the
     colimit's hom row is taken.  A node is one generator's image placed
-    (`enumerate_vfunctors`).  Every caller builds the k x k hom matrix of
-    the k maps found, so past k^2 > node_cap * |dom| SizeExceeded says
-    "<what> count exceeded".
+    (`enumerate_vfunctors`).  Past k^2 > node_cap * |dom| for the k maps
+    found SizeExceeded says "<what> count exceeded": most callers build
+    the k x k hom matrix of the maps.  `is_nuclear` builds none for its
+    endo sup-maps and its sup-maps A -> A*^op, but the guard still bounds
+    those two lists, so chain9 and bool4 still stop there (`vq` exit 3).
     """
     gens = tuple(gens)
     off = tuple(sorted(set(range(len(dom))).difference(gens)))

@@ -1,17 +1,42 @@
 """Small categories shared by the oracle tests: V over each builtin quantale,
 the chains, M3, the pentagon N5, and H2; the Lukasiewicz and Heyting
-chain quantales; the hypothesis strategy `random_categories`; and the
-test-only helpers `try_cocomplete`, `cocomplete_by_sup_table`,
-`left_adjoints`, `is_presheaf_vector` and `hom_ij`."""
+chain quantales; the hypothesis strategies `random_categories` and
+`random_sup_lattices`; and the test-only helpers `try_cocomplete`,
+`cocomplete_by_sup_table`, `left_adjoints`, `dual_with_witness`,
+`nuclear_by_carrier`, `unit_and_injectivity`, `is_presheaf_vector` and
+`hom_ij`."""
 
+from itertools import product
+from operator import itemgetter
+
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from vqcat.cocomplete import check_cocomplete, sup_target
-from vqcat.errors import NotCocomplete, NotSeparated
+from vqcat.cocomplete import check_cocomplete, dense_generators, sup_target, tensor_obj
+from vqcat.dist import VFunctor
+from vqcat.errors import NoSuchColimit, NotCocomplete, NotSeparated
 from vqcat.kernel import hom_matrix
-from vqcat.presheaf import DEFAULT_NODE_CAP, enumerate_presheaves, presheaf_hom
+from vqcat.presheaf import (
+    DEFAULT_NODE_CAP,
+    enumerate_presheaves,
+    presheaf_hom,
+    presheaf_subcategory,
+)
 from vqcat.quantale import BUILTIN_NAMES, builtin, validate_quantale
-from vqcat.vcat import is_separated, quantale_as_vcategory, row_object, validate_vcategory
+from vqcat.tensorprod import (
+    build_tensor_product,
+    enumerate_cocontinuous,
+    extend_bimorphism,
+    is_bimorphism,
+    vsup_category,
+)
+from vqcat.vcat import (
+    is_separated,
+    opposite,
+    quantale_as_vcategory,
+    row_object,
+    validate_vcategory,
+)
 
 
 def chain_quantale(n, mul):
@@ -123,6 +148,82 @@ def left_adjoints(dx, labels, hom):
     return tuple(map(dx.index.__getitem__, hom_matrix(q, hom, zip(*meets))))
 
 
+def dual_with_witness(a, node_cap=DEFAULT_NODE_CAP):
+    """A* = the sup-maps of the separated cocomplete a into V, as
+    (A*, the sup-maps, the cocompleteness witness of A*)."""
+    dual, funs = vsup_category(a, quantale_as_vcategory(a.quantale), node_cap)
+    return dual, funs, check_cocomplete(dual, node_cap=node_cap)
+
+
+def nuclear_by_carrier(x, wa=None, node_cap=DEFAULT_NODE_CAP):
+    """Nuclearity through the carrier, the oracle for `ccd.is_nuclear`.
+
+    Builds T = A (x) A*, the endo category H = [A, A] and the extension of
+    the bimorphism (a, h) |-> (z |-> h(z) (x) a); nuclear iff that extension
+    is an isomorphism of the carrier onto H, compared hom row by hom row.
+    """
+    if wa is None:
+        wa = check_cocomplete(x, node_cap=node_cap)
+    dual, funs, wdual = dual_with_witness(x, node_cap)
+    h_cat, h_funs = vsup_category(x, x, node_cap)
+    h_index = {f.mapping: k for k, f in enumerate(h_funs)}
+    t = build_tensor_product(x, dual, wa, wdual, node_cap=node_cap)
+    if len(t.carrier) != len(h_cat):
+        return False
+
+    beta = []
+    try:
+        for a in range(len(x)):
+            for h in funs:
+                endo = tuple(tensor_obj(x, h.mapping[z], a) for z in range(len(x)))
+                if endo not in h_index:
+                    return False
+                beta.append(h_index[endo])
+    except NoSuchColimit:
+        return False
+    beta_fun = VFunctor(t.ab, h_cat, tuple(beta))
+    if not is_bimorphism(beta_fun, x, dual):
+        return False
+    try:
+        big = extend_bimorphism(t, beta_fun)
+    except NoSuchColimit:
+        return False
+    if len(set(big.mapping)) != len(h_cat):
+        return False
+    # row bk of H read at big.mapping; one index would make `itemgetter`
+    # return the entry itself, not a 1-tuple
+    if len(h_cat) > 1:
+        pick = itemgetter(*big.mapping)
+    else:
+        def pick(row):
+            return tuple(row[k] for k in big.mapping)
+    return all(row == pick(h_cat.hom[bk]) for row, bk in zip(t.carrier.hom, big.mapping))
+
+
+def unit_and_injectivity(x):
+    """For F : A (x) A* -> [A, A] on the ideals zeta_f(a, h) = A*(h, f a)
+    of the sup-maps f : A -> A*^op: whether F is fully faithful, by the
+    unit of F -| R on every pair of dense generators,
+    zeta_f(g, h) = meet_{z in G_A} [h(z), A(g, F zeta_f(z))], and whether
+    F is injective.  The two agree on a separated cocomplete A, which is
+    why `ccd.is_nuclear` asks only for a bijection."""
+    q, objs, colimit = x.quantale, range(len(x)), x.kernel.colimit
+    dual, funs = vsup_category(x, quantale_as_vcategory(q))
+    gens = dense_generators(x)
+    pairs = list(product(gens, dense_generators(dual)))
+    images, unit = set(), True
+    maps = enumerate_cocontinuous(x, opposite(dual))
+    for f in maps:
+        image = tuple(colimit(objs, col) for col in zip(*(funs[k].mapping for k in f.mapping)))
+        images.add(image)
+        unit = unit and all(
+            dual.hom[h][f.mapping[g]]
+            == q.meet_of(q.hom[funs[h].mapping[z]][x.hom[g][image[z]]] for z in gens)
+            for g, h in pairs
+        )
+    return unit, len(images) == len(maps)
+
+
 def is_presheaf_vector(x, values) -> bool:
     """The downset condition X(a, b) * values(b) <= values(a), pair by pair."""
     q = x.quantale
@@ -170,3 +271,25 @@ def random_categories(draw, quantales, max_objects=4):
     )
     names = [f"x{a}" for a in range(m)]
     return validate_vcategory(q, names, closure(q, raw))
+
+
+@st.composite
+def random_sup_lattices(draw, quantales, max_objects=4, max_size=24):
+    """The full subcategory of D(X), X from `random_categories`, on a random
+    set of presheaves closed under pointwise meets, cotensors [v, -] and
+    top.  Closed under all weighted limits in D(X), it is complete, hence
+    cocomplete, and separated like D(X); often it is not ccd.  A closure
+    of more than `max_size` presheaves is rejected."""
+    x = draw(random_categories(quantales, max_objects))
+    q = x.quantale
+    todo = draw(st.lists(st.sampled_from(enumerate_presheaves(x).vectors), min_size=2, max_size=6))
+    closed = {(q.top,) * len(x)}
+    while todo:
+        phi = todo.pop()
+        if phi in closed:
+            continue
+        todo += [tuple(q.hom[v][w] for w in phi) for v in range(q.n)]
+        todo += [tuple(q.meet[u][w] for u, w in zip(phi, psi)) for psi in closed]
+        closed.add(phi)
+        assume(len(closed) <= max_size)
+    return presheaf_subcategory(x, sorted(closed))

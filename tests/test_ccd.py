@@ -11,7 +11,6 @@ from vqcat.ccd import (
     ccd_closure_check,
     ccd_reflector,
     check_main_theorem,
-    dual_object,
     is_ccd,
     is_nuclear,
     left_adjoint_candidates,
@@ -50,10 +49,14 @@ from categories import (
     NOT_CCD,
     ORACLE_CATEGORIES,
     diamond_m3,
+    dual_with_witness,
     left_adjoints,
+    nuclear_by_carrier,
     oracle_category,
     poset,
     random_categories,
+    random_sup_lattices,
+    unit_and_injectivity,
 )
 
 DATA = Path(vqcat.__file__).parent / "data"
@@ -103,7 +106,7 @@ def test_ccd_reflector_agrees_with_meet_of_majorants(chain2):
 
 
 def test_dual_of_v_is_v(v_two, two):
-    cat, funs, w = dual_object(v_two)
+    cat, funs, _ = dual_with_witness(v_two)
     assert len(cat) == 2
     # evaluation at the unit is an isomorphism with V
     evals = sorted(f.mapping[two.unit] for f in funs)
@@ -113,7 +116,7 @@ def test_dual_of_v_is_v(v_two, two):
 def test_dual_of_free_is_free_on_opposite(chain2):
     dx = enumerate_presheaves(chain2)
     free = dx.cat
-    cat, _, _ = dual_object(free)
+    cat, _, _ = dual_with_witness(free)
     dop = enumerate_presheaves(opposite(chain2)).cat
     assert len(cat) == len(dop)
     # both are the free cocompletion of a 2-chain; compare hom multisets
@@ -121,13 +124,13 @@ def test_dual_of_free_is_free_on_opposite(chain2):
 
 
 def test_dual_of_terminal(one_top):
-    cat, _, _ = dual_object(one_top)
+    cat, _, _ = dual_with_witness(one_top)
     assert len(cat) == 1
 
 
 @pytest.mark.parametrize("qname", BUILTIN_NAMES)
 def test_one_object_categories_are_nuclear(qname):
-    # one carrier row, compared through the one-index branch of is_nuclear
+    # one object: one ideal of A (x) A* and one endo sup-map
     rep = check_main_theorem(terminal_category(builtin(qname)))
     assert rep.ccd is True and rep.nuclear is True
 
@@ -141,6 +144,30 @@ def test_nuclear_verdicts(two, chain2):
 def test_free_category_nuclear(chain2):
     free = enumerate_presheaves(chain2).cat
     assert is_nuclear(free)
+
+
+@pytest.mark.parametrize("name", ORACLE_CATEGORIES + ["chain5", "chain6", "chain7", "bool3"])
+def test_nuclear_matches_the_carrier_oracle(name):
+    # the ideals' images against the carrier, [A, A] and the extended
+    # bimorphism, and both against complete distributivity; F is fully
+    # faithful exactly when it is injective
+    x = oracle_category(name)
+    w = check_cocomplete(x)
+    assert is_nuclear(x, w) == nuclear_by_carrier(x, w) == is_ccd(x, w) == (name not in NOT_CCD)
+    unit, injective = unit_and_injectivity(x)
+    assert unit == injective
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(random_sup_lattices([builtin(n) for n in BUILTIN_NAMES]))
+def test_nuclear_matches_the_carrier_oracle_on_random_sup_lattices(x):
+    # separated and cocomplete by construction, and often not ccd
+    w = check_cocomplete(x)
+    assert is_nuclear(x, w) == nuclear_by_carrier(x, w) == is_ccd(x, w)
+    unit, injective = unit_and_injectivity(x)
+    assert unit == injective
 
 
 def test_main_theorem_reports(two, chain2):

@@ -176,6 +176,27 @@ def test_dist_compose(tmp_path, capsys, action, first, second, calculus, name):
     assert capsys.readouterr().out == show_distributor(name, "C2", "C2", res)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dist", "compose", "a", "phi"], "unknown distributor 'a'"),
+        (["dist", "ext", "phi", "b"], "unknown distributor 'b'"),
+        (["dist", "lift", "c", "phi"], "unknown distributor 'c'"),
+        (["vcat", "tensor", "C2", "Z"], "unknown vcategory 'Z'"),
+        (["vcat", "tensor", "Y", "C2"], "unknown vcategory 'Y'"),
+    ],
+)
+def test_unknown_name_is_bad_input(tmp_path, capsys, argv, message):
+    # a name the workspace does not define is named with its kind, exit 1
+    p = tmp_path / "d.vcat"
+    p.write_text(
+        CHAIN2 + "distributor phi : C2 -> C2\n  val x0 x0 = 1\n  val x1 x0 = 1\n  val x1 x1 = 1\n",
+        encoding="utf-8",
+    )
+    assert main(argv + [str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_machine_flag_position(capsys):
     # --machine is accepted after the subcommand as well
     assert main(["quantale", "show", "two", "--machine"]) == 0

@@ -14,7 +14,9 @@ only on dense generators: `enumerate_vfunctors` is read in one function,
 `enumerate_presheaves` is read only where D(X) itself is asked for, by
 `CocompleteWitness.dx`, `TensorProduct.dab`, the `vq presheaves` and
 `vq cauchy` commands, the `presheaves` constructor of the text format and
-the corpus's Cauchy instance."""
+the corpus's Cauchy instance.  And nuclearity is decided from the ideals'
+images: `ccd.is_nuclear` reads neither the tensor carrier nor a hom
+matrix of sup-maps, and only the universal property extends bimorphisms."""
 
 import ast
 import sys
@@ -328,3 +330,35 @@ def test_guard_sees_a_presheaf_enumeration_in_a_decision():
         "scan",
         "<module>",
     ]
+
+
+def reading_sites(target):
+    """The "module.py:function" of every read of `target` in the library."""
+    return [
+        f"{path.name}:{owner}"
+        for path in SOURCES
+        for owner in reading_functions(ast.parse(path.read_text(encoding="utf-8")), target)
+    ]
+
+
+def test_is_nuclear_is_a_library_function():
+    tree = ast.parse((Path(vqcat.__file__).parent / "ccd.py").read_text(encoding="utf-8"))
+    assert "is_nuclear" in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        "build_tensor_product",
+        "extend_bimorphism",
+        "is_bimorphism",
+        "functor_hom_matrix",
+        "presheaf_subcategory",
+    ],
+)
+def test_is_nuclear_builds_no_carrier_and_no_hom_matrix(target):
+    assert "ccd.py:is_nuclear" not in reading_sites(target)
+
+
+def test_only_the_universal_property_extends_bimorphisms():
+    assert reading_sites("extend_bimorphism") == ["tensorprod.py:check_universal_property"]

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vqcat import cocomplete, tensorprod
-from vqcat.ccd import dual_object
 from vqcat.cocomplete import (
     check_cocomplete,
     dense_generators,
@@ -55,6 +54,7 @@ from vqcat.vcat import (
 
 from categories import (
     ORACLE_CATEGORIES,
+    dual_with_witness,
     heyting,
     lukasiewicz,
     oracle_category,
@@ -152,7 +152,7 @@ def _tensor(factors, name, partner):
     """A (x) A or A (x) A*, both factors with their witnesses."""
     x = factors[name]
     wx = check_cocomplete(x)
-    y, wy = (x, wx) if partner == "self" else dual_object(x)[::2]
+    y, wy = (x, wx) if partner == "self" else dual_with_witness(x)[::2]
     return build_tensor_product(x, y, wx, wy)
 
 
@@ -197,7 +197,7 @@ def _oracle_pair(name, partner):
     """An ORACLE_CATEGORIES entry with itself or with its dual, witnessed."""
     x = oracle_category(name)
     wx = check_cocomplete(x)
-    y, wy = (x, wx) if partner == "self" else dual_object(x)[::2]
+    y, wy = (x, wx) if partner == "self" else dual_with_witness(x)[::2]
     return x, wx, y, wy
 
 
@@ -357,7 +357,7 @@ def test_benchmark_tensors_have_only_ideals(name, partner):
     # binary joins, without the D(carrier) that `check_cocomplete` lists.
     x = BENCHMARK_FACTORS[name]()
     wx = check_cocomplete(x)
-    y, wy = (x, wx) if partner == "self" else dual_object(x)[::2]
+    y, wy = (x, wx) if partner == "self" else dual_with_witness(x)[::2]
     t = build_tensor_product(x, y, wx, wy)
     assert all(is_g_ideal(t.wa, t.wb, xi) for xi in t.ideal_vectors)
     assert is_separated(t.carrier) and has_tensors_and_joins(t.carrier)
