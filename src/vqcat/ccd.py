@@ -108,9 +108,14 @@ def is_nuclear(
     isomorphism: v (x) F u <= F w gives F((v (x) u) v w) = F w, hence
     (v (x) u) v w = w, that is v (x) u <= w.  So A is nuclear iff
     f |-> F zeta_f hits every endo sup-map exactly once.
+
+    `wa` only vouches that x is separated cocomplete: without it x is checked
+    under `node_cap`, and a witness for another category raises ValueError.
     """
     if wa is None:
         check_cocomplete(x, node_cap=node_cap)
+    elif wa.base != x:
+        raise ValueError("is_nuclear: the witness is for another category")
     objs, colimit = range(len(x)), x.kernel.colimit
     dual, funs = vsup_category(x, quantale_as_vcategory(x.quantale), node_cap)
     endos = [f.mapping for f in enumerate_cocontinuous(x, x, node_cap)]

@@ -3,14 +3,17 @@
 A presheaf is a V-functor X^op -> V: a vector over the base objects with
 X(x,x') * phi(x') <= phi(x).  `enumerate_presheaves` finds them with
 `search_vfunctors`, the one backtracking search, which also enumerates the
-V-functors between any two categories.  Its guard counts explored search
-nodes rather than the naive |V|^m candidate space, which pruning makes
-meaningless.
+V-functors between any two categories.  It searches each distinct tail of
+candidate masks once and shares its completions, kept as one column of
+bytes per depth.  Its guard counts the nodes of the unshared search, not
+the naive |V|^m candidate space, which pruning makes meaningless.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .dist import Distributor, VFunctor, identity_dist
 from .errors import QuantaleMismatch, SizeExceeded
@@ -72,6 +75,15 @@ def presheaf_subcategory(x: VCategory, vectors) -> VCategory:
     )
 
 
+@lru_cache(maxsize=64)
+def _cells(n: int):
+    """The cell of each image c < n, a native int of 1 byte if n <= 256, else
+    of 2 or 4; its width, and the `memoryview.cast` format of a column."""
+    fmt = "B" if n <= 256 else "H" if n <= 1 << 16 else "I"
+    raw, w = array(fmt, range(n)).tobytes(), array(fmt).itemsize
+    return tuple(raw[c * w : (c + 1) * w] for c in range(n)), w, fmt
+
+
 def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
     """All V-functors dom -> cod, as sorted mapping tuples: the one search.
 
@@ -79,15 +91,23 @@ def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
     with dom(t, t) <= cod(c, c).  Placing an image c2 at s narrows every
     later object t's mask with one `&` against `fits[u, v][c2]`, the images c
     with u <= cod(c, c2) and v <= cod(c2, c) for u = dom(t, s), v = dom(s, t);
-    a branch that empties a mask is cut.  A node is counted per placement,
-    and past `node_cap` SizeExceeded says "<what> enumeration exceeded".
+    a branch that empties a mask is cut.  Objects are placed most-constrained
+    first: descending number of objects below them in dom, ties by index.
 
-    Objects are placed most-constrained first: descending number of objects
-    below them in dom, ties by index.  For presheaves (dom = X^op, cod = V)
-    no mask is ever emptied: the join of X(t, s) * phi(s) over the placed s
-    always fits t, because X(t, u) * X(u, s) <= X(t, s).  So a presheaf
-    search cuts no branch early, and its node count is the number of
-    consistent partial presheaves in placement order.
+    Once depth d is placed, the completions depend only on the tail, the
+    masks of depths d, d+1, ...  Each distinct tail is searched; from its
+    second search on (tails near the root, with the big completions, are
+    mostly met once) its completions are kept column by column, one `bytes`
+    per depth with one `_cells` cell each, and reused.  A parent joins its
+    children's columns.  A node is counted per placement of the unshared
+    search, a reused tail adding its nodes, so past `node_cap` SizeExceeded
+    says "<what> enumeration exceeded" exactly when the unshared search does.
+
+    For presheaves (dom = X^op, cod = V) no mask is ever emptied: the join
+    of X(t, s) * phi(s) over the placed s always fits t, because
+    X(t, u) * X(u, s) <= X(t, s).  So a presheaf search cuts no branch
+    early, and its node count is the number of consistent partial presheaves
+    in placement order.
 
     dom and cod must be over one quantale, else QuantaleMismatch.
     """
@@ -110,45 +130,64 @@ def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
             )
         return fits[u, v]
 
-    # narrow[d]: (later depth, fits row) for every later object constrained by depth d
+    # narrow[d]: (index in the tail past d, fits row) for every later object
+    # constrained by depth d
     narrow = [
         [
-            (k, tab)
+            (k - d - 1, tab)
             for k in range(d + 1, m)
             for tab in [fit(dh[order[k]][s], dh[s][order[k]])]
-            if any(f != full for f in tab)
+            if tab.count(full) < n
         ]
         for d, s in enumerate(order)
     ]
-    img = [0] * m
-    out: list[tuple[int, ...]] = []
-    nodes = 0
+    cells, w, fmt = _cells(n)
+    memo: dict = {}  # tail -> False once searched, then (nodes, columns)
+    nodes, exceeded = 0, f"{what} enumeration exceeded {node_cap} nodes"
 
-    def place(d, masks):
+    def solve(d, masks):
+        """The columns of depths d, ... over the completions of `masks`, or ()."""
         nonlocal nodes
-        s, mask, last = order[d], masks[d], d + 1 == m
+        hit = memo.get(masks)
+        if hit:
+            nodes += hit[0]
+            if nodes > node_cap:
+                raise SizeExceeded(exceeded, estimate=node_cap)
+            return hit[1]
+        start, mask, rest = nodes, masks[0], masks[1:]
+        heads, tails = [], []
         while mask:
             low = mask & -mask
             mask ^= low
             c = low.bit_length() - 1
             nodes += 1
             if nodes > node_cap:
-                raise SizeExceeded(
-                    f"{what} enumeration exceeded {node_cap} nodes", estimate=node_cap
-                )
-            img[s] = c
-            if last:
-                out.append(tuple(img))
+                raise SizeExceeded(exceeded, estimate=node_cap)
+            if not rest:
+                heads.append(cells[c])
                 continue
-            nxt = masks[:]
+            nxt = list(rest)
             for k, tab in narrow[d]:
                 nxt[k] &= tab[c]
                 if not nxt[k]:
                     break
             else:
-                place(d + 1, nxt)
+                sub = solve(d + 1, tuple(nxt))
+                if sub:
+                    heads.append(cells[c] * (len(sub[0]) // w))
+                    tails.append(sub)
+        cols = (b"".join(heads), *map(b"".join, zip(*tails))) if heads else ()
+        memo[masks] = False if hit is None else (nodes - start, cols)
+        return cols
 
-    place(0, [sum(1 << c for c in range(n) if leq[dh[t][t]][ch[c][c]]) for t in order])
+    root = tuple(sum(1 << c for c in range(n) if leq[dh[t][t]][ch[c][c]]) for t in order)
+    try:
+        cols = solve(0, root)
+    finally:
+        memo.clear()
+    if fmt != "B":
+        cols = [memoryview(col).cast(fmt) for col in cols]
+    out = list(zip(*[cols[d] for d in map(order.index, range(m))])) if cols else []
     out.sort()
     return out
 

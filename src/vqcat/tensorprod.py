@@ -116,7 +116,7 @@ def enumerate_extensions(dom: VCategory, gens, cod: VCategory, node_cap: int, ke
                 if len(found) ** 2 > bound:
                     raise SizeExceeded(
                         f"{what} count exceeded {node_cap} nodes x {len(dom)} objects: "
-                        f"{len(found)} maps, a {len(found)}^2 hom matrix",
+                        f"{len(found)} maps",
                         estimate=len(found),
                     )
     found.sort(key=attrgetter("mapping"))

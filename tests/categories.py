@@ -3,8 +3,8 @@ the chains, M3, the pentagon N5, and H2; the Lukasiewicz and Heyting
 chain quantales; the hypothesis strategies `random_categories` and
 `random_sup_lattices`; and the test-only helpers `try_cocomplete`,
 `cocomplete_by_sup_table`, `left_adjoints`, `dual_with_witness`,
-`nuclear_by_carrier`, `unit_and_injectivity`, `is_presheaf_vector` and
-`hom_ij`."""
+`nuclear_by_carrier`, `unit_and_injectivity`, `search_by_placement`,
+`is_presheaf_vector` and `hom_ij`."""
 
 from itertools import product
 from operator import itemgetter
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from vqcat.cocomplete import check_cocomplete, dense_generators, sup_target, tensor_obj
 from vqcat.dist import VFunctor
-from vqcat.errors import NoSuchColimit, NotCocomplete, NotSeparated
+from vqcat.errors import NoSuchColimit, NotCocomplete, NotSeparated, SizeExceeded
 from vqcat.kernel import hom_matrix
 from vqcat.presheaf import (
     DEFAULT_NODE_CAP,
@@ -222,6 +222,71 @@ def unit_and_injectivity(x):
             for g, h in pairs
         )
     return unit, len(images) == len(maps)
+
+
+def search_by_placement(dom, cod, node_cap=DEFAULT_NODE_CAP, what="functor"):
+    """The unshared search, the oracle for `presheaf.search_vfunctors`: every
+    partial mapping is placed one at a time, with no tail searched twice
+    sharing its completions.  Returns (the sorted mappings, the nodes used);
+    past `node_cap` SizeExceeded says "<what> enumeration exceeded"."""
+    m, n = len(dom), len(cod)
+    if m == 0:
+        return [()], 0
+    q = dom.quantale
+    leq, dh, ch = q.leq, dom.hom, cod.hom
+    order = sorted(range(m), key=lambda a: (-sum(leq[q.unit][dh[b][a]] for b in range(m)), a))
+    full = (1 << n) - 1
+    fits = {}
+
+    def fit(u, v):
+        if (u, v) not in fits:
+            fits[u, v] = tuple(
+                sum(1 << c for c in range(n) if leq[u][ch[c][c2]] and leq[v][ch[c2][c]])
+                for c2 in range(n)
+            )
+        return fits[u, v]
+
+    # narrow[d]: (later depth, fits row) for every later object constrained by depth d
+    narrow = [
+        [
+            (k, tab)
+            for k in range(d + 1, m)
+            for tab in [fit(dh[order[k]][s], dh[s][order[k]])]
+            if any(f != full for f in tab)
+        ]
+        for d, s in enumerate(order)
+    ]
+    img = [0] * m
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def place(d, masks):
+        nonlocal nodes
+        s, mask, last = order[d], masks[d], d + 1 == m
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            c = low.bit_length() - 1
+            nodes += 1
+            if nodes > node_cap:
+                raise SizeExceeded(
+                    f"{what} enumeration exceeded {node_cap} nodes", estimate=node_cap
+                )
+            img[s] = c
+            if last:
+                out.append(tuple(img))
+                continue
+            nxt = masks[:]
+            for k, tab in narrow[d]:
+                nxt[k] &= tab[c]
+                if not nxt[k]:
+                    break
+            else:
+                place(d + 1, nxt)
+
+    place(0, [sum(1 << c for c in range(n) if leq[dh[t][t]][ch[c][c]]) for t in order])
+    out.sort()
+    return out, nodes
 
 
 def is_presheaf_vector(x, values) -> bool:

@@ -141,6 +141,28 @@ def test_nuclear_verdicts(two, chain2):
     assert not is_nuclear(diamond_m3(two))
 
 
+def test_nuclear_refuses_a_witness_for_another_category(chain2):
+    # a witness only vouches for its own base; chain3's must not skip the
+    # check on M3 (which is cocomplete, so the check alone would pass)
+    chain3, m3 = oracle_category("chain3"), oracle_category("M3")
+    with pytest.raises(ValueError, match="witness is for another category"):
+        is_nuclear(m3, check_cocomplete(chain3))
+    with pytest.raises(ValueError, match="witness is for another category"):
+        check_main_theorem(chain2, check_cocomplete(chain3))
+    # the base is compared as a V-category: renamed objects keep the witness
+    renamed = validate_vcategory(chain3.quantale, ("p", "q", "r"), chain3.hom)
+    assert is_nuclear(renamed, check_cocomplete(chain3))
+
+
+def test_count_guard_message_names_only_the_count():
+    # is_nuclear builds no matrix of its endo sup-maps: the guard stops the
+    # list at 70 maps (70^2 > 979 x 5) and says no more than that
+    with pytest.raises(SizeExceeded) as exc:
+        is_nuclear(oracle_category("chain5"), node_cap=979)
+    assert str(exc.value) == "sup-map count exceeded 979 nodes x 5 objects: 70 maps"
+    assert is_nuclear(oracle_category("chain5"), node_cap=980)
+
+
 def test_free_category_nuclear(chain2):
     free = enumerate_presheaves(chain2).cat
     assert is_nuclear(free)

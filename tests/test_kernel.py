@@ -415,6 +415,20 @@ def test_meet_row_on_a_sample_of_D_luk12():
     assert_meet_rows_are_hom_rows(v, enumerate_presheaves(v).vectors[::7])
 
 
+@pytest.mark.parametrize("n, blocks", [(12, 2), (20, 3)])
+def test_multi_block_decode_reads_back_every_element(n, blocks):
+    # V-luk12 and V-luk20 (J = 11 and 19): every element, in a vector
+    # longer than one block, encoded block by block and decoded; and
+    # meet_row, which decodes through it, against hom_matrix
+    q = lukasiewicz(n)
+    codes = q.tables.planes.tables
+    assert len(codes) == blocks
+    vector = bytes(itertools.islice(itertools.cycle(range(q.n)), 3 * q.n + 1))
+    assert q.tables.decode([vector.translate(code) for code in codes]) == tuple(vector)
+    v = quantale_as_vcategory(q)
+    assert_meet_rows_are_hom_rows(v, [*v.hom, *zip(*v.hom), tuple(reversed(vector[: q.n]))])
+
+
 def test_meet_row_over_the_one_element_quantale():
     # J = 0: every row decodes to the one element
     for m in range(4):
