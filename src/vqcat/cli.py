@@ -8,11 +8,15 @@ other input it prints "not cocomplete (...)" and exits 2, because that is a
 counterexample to the property checked.  `vq tensor` needs separated
 cocomplete factors as its input, so there the same failure is bad input,
 exit 1.
+
+`main` builds its argument parser once per process, on the first call, and
+reuses it: `parse_args` returns a fresh namespace on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .ccd import check_main_theorem, is_nuclear, totally_below
@@ -63,6 +67,7 @@ def _add_common(sp):
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="vq", description="finite quantale-enriched category toolkit")
     p.add_argument("--caps", metavar="V,OBJ,NODES", default=None)

@@ -213,10 +213,12 @@ def _universal():
     small = [("C2", c2), ("V", wst.vcats["V"]), ("T", wst.vcats["T"])]
     recs = []
     ok = True
-    for (na, a), (nb, b), (nc, c) in itertools.product(small, repeat=3):
-        r = check_universal_property(a, b, c)
-        ok = ok and r
-        recs.append((f"two.{na}.{nb}.{nc}", _yn(r)))
+    for (na, a), (nb, b) in itertools.product(small, repeat=2):
+        t = build_tensor_product(a, b)
+        for nc, c in small:
+            r = check_universal_property(a, b, c, t=t)
+            ok = ok and r
+            recs.append((f"two.{na}.{nb}.{nc}", _yn(r)))
     vl = load("vluk.vcat").vcats["V"]
     r = check_universal_property(vl, vl, vl)
     ok = ok and r

@@ -2,8 +2,9 @@
 
 import pytest
 
+from vqcat import cli
 from vqcat.cli import main
-from vqcat.corpus import data_text
+from vqcat.corpus import data_text, run_corpus
 from vqcat.dist import compose_dist, right_extension, right_lifting
 from vqcat.presheaf import PresheafCategory
 from vqcat.textio import parse_text, show_distributor
@@ -55,6 +56,48 @@ def test_vcat_separated_negative(r422_file, capsys):
     assert main(["vcat", "separated", r422_file]) == 2
     out = capsys.readouterr().out
     assert "not separated" in out
+
+
+@pytest.fixture()
+def freedisc2_file(tmp_path):
+    p = tmp_path / "freedisc2.vcat"
+    p.write_text(data_text("freedisc2.vcat"), encoding="utf-8")
+    return str(p)
+
+
+def test_shared_parser_leaks_nothing_between_calls(freedisc2_file, capsys):
+    # main reuses one parser per process; no flag of one call reaches the next
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["presheaves", "--list", freedisc2_file]) == 0
+    assert "  <1,1,1,1>" in capsys.readouterr().out
+    assert main(["presheaves", freedisc2_file]) == 0
+    assert capsys.readouterr().out == (
+        "vcategory D2: 4 presheaves\nvcategory FreeD2: 6 presheaves\n"
+    )
+    for argv in (
+        ["presheaves", "--caps", "8,8,5", freedisc2_file],
+        ["--caps", "8,8,5", "presheaves", freedisc2_file],
+    ):
+        assert main(argv) == 3
+        assert "exceeded 5 nodes" in capsys.readouterr().err
+        assert main(["presheaves", freedisc2_file]) == 0
+    capsys.readouterr()
+    assert main(["corpus", "--machine"]) == 0
+    assert capsys.readouterr().out.startswith("quantale.builtins.two.size=2\n")
+    assert main(["corpus"]) == 0
+    assert capsys.readouterr().out == "\n".join(run_corpus(machine=False)[1]) + "\n"
+
+
+def test_help_names_every_command_group(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    groups = ("quantale", "vcat", "presheaves", "cauchy", "check", "tensor", "dist", "corpus")
+    assert "{" + ",".join(groups) + "}" in texts[0]
 
 
 def test_presheaves_count_and_list(chain2_file, capsys):
