@@ -1,7 +1,8 @@
 """The `vq` command line tool.
 
 Exit codes: 0 = verified / printed, 2 = a counterexample was found,
-3 = a size cap was exceeded, 64 = usage, 1 = bad input files.
+3 = a size cap was exceeded, 64 = usage, 1 = bad input files,
+141 = the reader closed stdout early (128 + SIGPIPE, no message).
 
 Every `vq check` action first needs a separated cocomplete category; on any
 other input it prints "not cocomplete (...)" and exits 2, because that is a
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .ccd import check_main_theorem, is_nuclear, totally_below
@@ -368,30 +370,32 @@ def _cmd_dist(args, caps) -> int:
     return 0
 
 
+def _cmd_corpus(args, caps) -> int:
+    from .corpus import run_corpus
+
+    code, lines = run_corpus(machine=args.machine)
+    print("\n".join(lines))
+    return code
+
+
+_COMMANDS = {
+    "quantale": _cmd_quantale, "vcat": _cmd_vcat, "presheaves": _cmd_presheaves,
+    "cauchy": _cmd_cauchy, "check": _cmd_check, "tensor": _cmd_tensor,
+    "dist": _cmd_dist, "corpus": _cmd_corpus,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        caps = _caps(args)
-        if args.group == "quantale":
-            return _cmd_quantale(args, caps)
-        if args.group == "vcat":
-            return _cmd_vcat(args, caps)
-        if args.group == "presheaves":
-            return _cmd_presheaves(args, caps)
-        if args.group == "cauchy":
-            return _cmd_cauchy(args, caps)
-        if args.group == "check":
-            return _cmd_check(args, caps)
-        if args.group == "tensor":
-            return _cmd_tensor(args, caps)
-        if args.group == "dist":
-            return _cmd_dist(args, caps)
-        if args.group == "corpus":
-            from .corpus import run_corpus
-
-            code, lines = run_corpus(machine=args.machine)
-            print("\n".join(lines))
-            return code
+        code = _COMMANDS[args.group](args, _caps(args))
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: end quietly, with the code a SIGPIPE
+        # death gives, and send the unflushed rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SizeExceeded as exc:
         print(f"size cap exceeded: {exc} (estimate {exc.estimate})", file=sys.stderr)
         return 3
@@ -401,7 +405,6 @@ def main(argv=None) -> int:
     except (OSError, KeyError, VqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

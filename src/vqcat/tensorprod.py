@@ -53,7 +53,6 @@ from .errors import (
     QuantaleMismatch,
     SizeExceeded,
 )
-from .kernel import hom_matrix
 from .presheaf import (
     DEFAULT_NODE_CAP,
     PresheafCategory,
@@ -84,11 +83,11 @@ def enumerate_extensions(dom: VCategory, gens, cod: VCategory, node_cap: int, ke
     dom(gens, x), read from `cod.kernel`; a g with no such colimit has no
     extension.  In a cod that is not separated every object with the
     colimit's hom row is taken.  A node is one generator's image placed
-    (`enumerate_vfunctors`).  Past k^2 > node_cap * |dom| for the k maps
-    found SizeExceeded says "<what> count exceeded": most callers build
-    the k x k hom matrix of the maps.  `is_nuclear` builds none for its
-    endo sup-maps and its sup-maps A -> A*^op, but the guard still bounds
-    those two lists, so chain9 and bool4 still stop there (`vq` exit 3).
+    (`enumerate_vfunctors`).  Into a separated cod each map found is one
+    leaf of that search, so `node_cap` bounds the list; the twins of a cod
+    that is not separated are bounded by SizeExceeded "<what> count
+    exceeded" past k > node_cap * |dom| for the k maps found.  A caller
+    that builds a k x k matrix of the list stops past k^2 > node_cap * |dom|.
     """
     gens = tuple(gens)
     off = tuple(sorted(set(range(len(dom))).difference(gens)))
@@ -113,14 +112,16 @@ def enumerate_extensions(dom: VCategory, gens, cod: VCategory, node_cap: int, ke
             f = VFunctor(dom, cod, tuple(map((g + image).__getitem__, order)))
             if keep(f):
                 found.append(f)
-                if len(found) ** 2 > bound:
-                    raise SizeExceeded(
-                        f"{what} count exceeded {node_cap} nodes x {len(dom)} objects: "
-                        f"{len(found)} maps",
-                        estimate=len(found),
-                    )
+                if len(found) > bound:
+                    raise _count_exceeded(what, len(found), node_cap, dom)
     found.sort(key=attrgetter("mapping"))
     return found
+
+
+def _count_exceeded(what: str, k: int, node_cap: int, dom: VCategory) -> SizeExceeded:
+    return SizeExceeded(
+        f"{what} count exceeded {node_cap} nodes x {len(dom)} objects: {k} maps", estimate=k
+    )
 
 
 def enumerate_cocontinuous(a: VCategory, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP):
@@ -140,6 +141,8 @@ def vsup_category(a: VCategory, cod: VCategory, node_cap: int = DEFAULT_NODE_CAP
     Returns (category, functors); functors are in lexicographic mapping order.
     """
     funs = enumerate_cocontinuous(a, cod, node_cap)
+    if len(funs) ** 2 > node_cap * len(a):  # before the k x k functor hom
+        raise _count_exceeded("sup-map", len(funs), node_cap, a)
     objects = tuple(
         "[" + ",".join(cod.objects[c] for c in f.mapping) + "]" for f in funs
     )
@@ -290,6 +293,8 @@ def build_tensor_product(
             for f in enumerate_cocontinuous(a, opposite(b), node_cap)
         )
     )
+    if len(ideal_vectors) ** 2 > node_cap * len(a):  # before the k x k carrier
+        raise _count_exceeded("sup-map", len(ideal_vectors), node_cap, a)
     carrier = presheaf_subcategory(ab, ideal_vectors)
     return TensorProduct(wa, wb, ab, ideal_vectors, carrier, node_cap)
 
@@ -350,6 +355,12 @@ def check_universal_property(
 
     The carrier, a tensor of separated cocomplete factors, is itself
     separated cocomplete, so its sup-maps are enumerated without D(carrier).
+    Only the bijection is checked: h = ext g and h' = ext g' with h' i = g'
+    preserve the hom by density.  Restriction along i gives [h, h'] <= [g, g'].
+    Conversely C(h xi, h' xi) = meet_p [xi(p), C(g p, h' xi)], h xi being
+    the colimit of g weighted by xi, and xi(p) = carrier(i p, xi) <=
+    C(g' p, h' xi) as h' is a V-functor, so each term is at least
+    C(g p, g' p).
     """
     if c.quantale != a.quantale:
         raise QuantaleMismatch("test codomain is over another quantale than the factors")
@@ -364,11 +375,9 @@ def check_universal_property(
     # as many extensions as sup-maps, so set equality makes them distinct
     if {h.mapping for h in extensions} != cocont:
         return False
-    for g, h in zip(bimorphs, extensions):
-        if tuple(h.mapping[k] for k in t.i.mapping) != g.mapping:
-            return False
-    return functor_hom_matrix(c, bimorphs, bimorphs) == functor_hom_matrix(
-        c, extensions, extensions
+    return all(
+        tuple(h.mapping[k] for k in t.i.mapping) == g.mapping
+        for g, h in zip(bimorphs, extensions)
     )
 
 
@@ -382,39 +391,23 @@ def galois_iso(
     """The carrier is the opposite of the sup-map category into B-opposite.
 
     The ideals come from the ideal equation alone (`ideals_by_columns`), not
-    from the sup-maps and without enumerating D(A (x) B).  Forward:
-    f |-> xi(a,b) = B(b, f a).  Back: f(a) = join_b xi(a,b) (x) b, a colimit
-    in B weighted by xi(a, -).  Both composites must be identities and the
-    carrier hom must equal the functor hom with the variance flipped.
+    from the sup-maps and without enumerating D(A (x) B).  The answer is
+    whether f |-> xi_f(a,b) = B(b, f a) maps the sup-maps onto them; the rest
+    is Yoneda, B being separated.  The row xi_f(a, -) = B(-, f a) has
+    colimit f a, so f |-> xi_f is injective with inverse f(a) = colim_B
+    xi(a, -), and carrier(xi_f, xi_g) = meet_(a,b) [B(b, f a), B(b, g a)] =
+    meet_a B(f a, g a) = [A, B^op](g, f) for any two maps.
     """
     if wa is None:
         wa = _witness_for(a, "left factor", node_cap)
     if wb is None:
         wb = _witness_for(b, "right factor", node_cap)
-    bop = opposite(b)
-    funs = enumerate_cocontinuous(a, bop, node_cap)
-    ideal = ideals_by_columns(wa, wb, node_cap)
-    ideal_set = {xi: k for k, xi in enumerate(ideal)}
-    if len(funs) != len(ideal):
-        return False
-    nb, objs, colimit = len(b), range(len(b)), b.kernel.colimit
-    images = []
-    for f in funs:
-        xi = tuple(
-            b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb)
-        )
-        if xi not in ideal_set:
-            return False
-        back = tuple(colimit(objs, xi[x * nb : (x + 1) * nb]) for x in range(len(a)))
-        if back != f.mapping:
-            return False
-        images.append(xi)
-    if len(set(images)) != len(ideal):
-        return False
-    # carrier(xi_f, xi_g) = [A, B^op](g, f)
-    return hom_matrix(a.quantale, images, images) == tuple(
-        zip(*functor_hom_matrix(bop, funs, funs))
-    )
+    nb = len(b)
+    images = {
+        tuple(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))
+        for f in enumerate_cocontinuous(a, opposite(b), node_cap)
+    }
+    return images == set(ideals_by_columns(wa, wb, node_cap))
 
 
 def star_autonomy_check(a: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> bool:

@@ -155,12 +155,18 @@ def test_nuclear_refuses_a_witness_for_another_category(chain2):
 
 
 def test_count_guard_message_names_only_the_count():
-    # is_nuclear builds no matrix of its endo sup-maps: the guard stops the
-    # list at 70 maps (70^2 > 979 x 5) and says no more than that
+    # vsup_category squares its list: the guard stops [chain5, chain5] at
+    # its 70 maps (70^2 > 979 x 5), before the 70 x 70 matrix, and says no
+    # more than that.  is_nuclear lists the same 70 endo sup-maps but
+    # squares no list of them, so only its searches' node counts bound it
+    chain5 = oracle_category("chain5")
     with pytest.raises(SizeExceeded) as exc:
-        is_nuclear(oracle_category("chain5"), node_cap=979)
+        vsup_category(chain5, chain5, node_cap=979)
     assert str(exc.value) == "sup-map count exceeded 979 nodes x 5 objects: 70 maps"
-    assert is_nuclear(oracle_category("chain5"), node_cap=980)
+    assert len(vsup_category(chain5, chain5, node_cap=980)[1]) == 70
+    assert is_nuclear(chain5, node_cap=125)
+    with pytest.raises(SizeExceeded, match="functor enumeration exceeded 124 nodes"):
+        is_nuclear(chain5, node_cap=124)
 
 
 def test_free_category_nuclear(chain2):
@@ -528,8 +534,9 @@ def test_ccd_closure_check_raises_when_the_carrier_search_is_capped(cap):
 )
 def test_ccd_closure_check_least_cap(name, nodes, least):
     # the carrier's sup-map search is the only search left: below `nodes`
-    # its node count stops it, below `least` its count guard does (k^2 >
-    # cap x |A| for the k sup-maps found); from `least` on there is a verdict
+    # its node count stops it, below `least` the guard before the carrier's
+    # k x k hom matrix does (k^2 > cap x |A| for the k ideals); from
+    # `least` on there is a verdict
     x = oracle_category(name)
     with pytest.raises(SizeExceeded, match=f"functor enumeration exceeded {nodes - 1} nodes"):
         ccd_closure_check(x, x, node_cap=nodes - 1)
@@ -550,22 +557,17 @@ def boolean_algebra(k):
     return poset(tuple(format(s, f"0{k}b") for s in range(1 << k)), lambda s, t: s & ~t == 0)
 
 
+def chain(n):
+    return poset(tuple(f"c{i}" for i in range(n)), lambda i, j: i <= j)
+
+
 @pytest.mark.parametrize(
-    "x",
-    [poset(tuple(f"c{i}" for i in range(7)), lambda i, j: i <= j), boolean_algebra(3)],
-    ids=["chain7", "bool3"],
+    "x", [chain(7), boolean_algebra(3), chain(9), boolean_algebra(4)],
+    ids=["chain7", "bool3", "chain9", "bool4"],
 )
 def test_main_theorem_on_the_frontier(x):
-    # chain7 (x) chain7* has 924 ideals and bool3 (x) bool3* has 512
+    # chain7 (x) chain7* has 924 ideals and bool3 (x) bool3* has 512; chain9
+    # has 12,870 endo sup-maps and bool4 65,536, at the default caps: no
+    # list of them is squared, so no count guard stops them
     rep = check_main_theorem(x)
     assert rep.ccd is True and rep.nuclear is True
-
-
-def test_main_theorem_on_bool4_fails_fast_at_the_default_cap():
-    # bool4 has 16^4 = 65,536 endo sup-maps: the count guard stops the list
-    # at 5,657 maps, the first k with k^2 > 2,000,000 nodes x 16 objects,
-    # before any hom matrix of them is built
-    with pytest.raises(
-        SizeExceeded, match="sup-map count exceeded 2000000 nodes x 16 objects: 5657 maps"
-    ):
-        check_main_theorem(boolean_algebra(4))

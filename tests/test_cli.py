@@ -1,7 +1,13 @@
 """In-process exercises of the vq command line."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import vqcat
 from vqcat import cli
 from vqcat.cli import main
 from vqcat.corpus import data_text, run_corpus
@@ -376,3 +382,21 @@ def test_tensor_factor_check_obeys_node_cap(vluk_file, capsys):
     assert "functor enumeration exceeded 2 nodes" in capsys.readouterr().err
     assert main(["tensor", "--caps", "8,8,3", vluk_file, vluk_file]) == 0
     assert "carrier has 3 ideal presheaves" in capsys.readouterr().out
+
+
+def test_closed_pipe_ends_quietly():
+    # the read end is closed before the child writes, so its first write
+    # fails with EPIPE: no message, exit 141 (128 + SIGPIPE)
+    src = str(Path(vqcat.__file__).resolve().parent.parent)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vqcat.cli", "corpus"],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, b"")

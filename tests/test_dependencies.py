@@ -16,7 +16,10 @@ only on dense generators: `enumerate_vfunctors` is read in one function,
 `vq cauchy` commands, the `presheaves` constructor of the text format and
 the corpus's Cauchy instance.  And nuclearity is decided from the ideals'
 images: `ccd.is_nuclear` reads neither the tensor carrier nor a hom
-matrix of sup-maps, and only the universal property extends bimorphisms."""
+matrix of sup-maps, and only the universal property extends bimorphisms.
+And one function builds a k x k functor hom matrix, `vsup_category`:
+`galois_iso` and `check_universal_property` read no hom matrix, since
+Yoneda and density prove their hom comparisons."""
 
 import ast
 import sys
@@ -362,3 +365,24 @@ def test_is_nuclear_builds_no_carrier_and_no_hom_matrix(target):
 
 def test_only_the_universal_property_extends_bimorphisms():
     assert reading_sites("extend_bimorphism") == ["tensorprod.py:check_universal_property"]
+
+
+def test_one_functor_hom_matrix_builder():
+    assert reading_sites("functor_hom_matrix") == ["tensorprod.py:vsup_category"]
+
+
+@pytest.mark.parametrize("decision", ["galois_iso", "check_universal_property"])
+@pytest.mark.parametrize("target", ["hom_matrix", "functor_hom_matrix"])
+def test_cross_checks_build_no_hom_matrix(decision, target):
+    assert f"tensorprod.py:{decision}" not in reading_sites(target)
+
+
+def test_tensorprod_imports_no_hom_matrix():
+    tree = ast.parse((Path(vqcat.__file__).parent / "tensorprod.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "hom_matrix" not in imported

@@ -15,7 +15,7 @@ from vqcat.cocomplete import (
     join_obj,
     tensor_obj,
 )
-from vqcat.dist import VFunctor, functor_hom
+from vqcat.dist import VFunctor, functor_hom, functor_hom_matrix
 from vqcat.errors import (
     NotCocomplete,
     NotCocompleteInput,
@@ -24,7 +24,13 @@ from vqcat.errors import (
     SizeExceeded,
 )
 from vqcat.kernel import hom_matrix
-from vqcat.presheaf import PresheafCategory, apply_D, enumerate_presheaves, search_vfunctors
+from vqcat.presheaf import (
+    DEFAULT_NODE_CAP,
+    PresheafCategory,
+    apply_D,
+    enumerate_presheaves,
+    search_vfunctors,
+)
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.tensorprod import (
     build_tensor_product,
@@ -60,6 +66,7 @@ from categories import (
     oracle_category,
     poset,
     random_categories,
+    random_sup_lattices,
 )
 
 
@@ -280,8 +287,8 @@ def test_galois_past_the_tensor_presheaves(make):
 
 
 def test_galois_back_map_takes_no_tensor_or_join(m3, monkeypatch):
-    # f(a) is one colimit weighted by the row xi(a, -), not a join of |B|
-    # tensors
+    # the back map f(a) = colim_B xi(a, -) is Yoneda (the test below), so
+    # galois_iso computes neither it nor a join of |B| tensors
     def refuse(*args):
         raise AssertionError("tensor_obj or join_obj called")
 
@@ -295,7 +302,8 @@ def test_galois_back_map_takes_no_tensor_or_join(m3, monkeypatch):
 @pytest.mark.parametrize("name", ["V-lukasiewicz3", "V-powerset_z2", "chain3", "M3", "H2"])
 def test_galois_back_map_is_the_join_of_tensors(name):
     # the colimit of B weighted by xi(a, -) = B(-, f a) is the join of the
-    # tensors xi(a, b) (x) b, and it is f(a) on a separated cocomplete B
+    # tensors xi(a, b) (x) b, and it is f(a) on a separated cocomplete B:
+    # the oracle for the back map that galois_iso leaves to Yoneda
     a = b = oracle_category(name)
     nb = len(b)
     for f in enumerate_cocontinuous(a, opposite(b)):
@@ -751,9 +759,9 @@ def test_bimorphisms_match_enumerate_then_filter_on_random_categories(data):
         expected = bimorphisms_by_filter(a, b, c, 20_000)
     except SizeExceeded:
         assume(False)
-    # a cap of k^2 keeps the count guard off for the k maps expected
-    cap = max(20_000, len(expected) ** 2)
-    assert enumerate_bimorphisms(a, b, c, cap) == expected
+    # the filter's search found the k maps in 20,000 nodes, so k <= 20,000
+    # x |A (x) B| keeps the count guard off
+    assert enumerate_bimorphisms(a, b, c, 20_000) == expected
 
 
 def _reject(f):
@@ -792,15 +800,14 @@ def test_vsup_category_least_cap_is_pinned(name):
 
 
 BIMORPHISM_NODES_C3_C3_C5 = 180
-UNIVERSAL_CAP_C3_C3_C5 = 1838
 
 
 def test_universal_property_node_counts_are_pinned():
     # G = {x1, x2} in chain3, so the bimorphism search places the images of
     # 4 pairs in 180 nodes (chain3 (x) chain3 -> chain5 has 4,116
     # V-functors in all); 105 bimorphisms and 105 sup-maps out of the
-    # 6-object carrier, whose count guard sets the least cap:
-    # 105^2 <= 1,838 x 6
+    # 6-object carrier, neither list squared, so that node count is the
+    # least cap of the universal property
     c3, c5 = _chain(3), _chain(5)
     pairs = [x * 3 + y for x in dense_generators(c3) for y in dense_generators(c3)]
     ab, nodes = tensor_vcat(c3, c3), BIMORPHISM_NODES_C3_C3_C5
@@ -808,22 +815,131 @@ def test_universal_property_node_counts_are_pinned():
     with pytest.raises(SizeExceeded, match=f"functor enumeration exceeded {nodes - 1} nodes"):
         enumerate_extensions(ab, pairs, c5, nodes - 1, _reject, "bimorphism")
     assert len(enumerate_bimorphisms(c3, c3, c5)) == 105
-    cap = UNIVERSAL_CAP_C3_C3_C5
-    assert check_universal_property(c3, c3, c5, node_cap=cap)
-    with pytest.raises(
-        SizeExceeded, match=f"sup-map count exceeded {cap - 1} nodes x 6 objects: 105 maps"
-    ):
-        check_universal_property(c3, c3, c5, node_cap=cap - 1)
+    assert check_universal_property(c3, c3, c5, node_cap=nodes)
+    with pytest.raises(SizeExceeded, match=f"functor enumeration exceeded {nodes - 1} nodes"):
+        check_universal_property(c3, c3, c5, node_cap=nodes - 1)
+
+
+def _indiscrete(n):
+    two = builtin("two")
+    return validate_vcategory(two, tuple(f"i{k}" for k in range(n)), ((1,) * n,) * n)
 
 
 def test_bimorphism_count_guard():
-    # 105 bimorphisms out of the 9 pairs: 105^2 > 1,224 x 9
-    c3, c5 = _chain(3), _chain(5)
-    assert len(enumerate_bimorphisms(c3, c3, c5, 1_225)) == 105
-    with pytest.raises(
-        SizeExceeded, match="bimorphism count exceeded 1224 nodes x 9 objects: 105 maps"
-    ):
-        enumerate_bimorphisms(c3, c3, c5, 1_224)
+    # into the indiscrete 2-object category every map is a bimorphism, and
+    # each of the 2^4 V-functors on the 4 generator pairs has 2^5 twin
+    # extensions: the 512 maps pass 56 x 9 after fewer than 56 nodes
+    c3, ind = _chain(3), _indiscrete(2)
+    assert len(enumerate_bimorphisms(c3, c3, ind, 57)) == 512
+    with pytest.raises(SizeExceeded) as exc:
+        enumerate_bimorphisms(c3, c3, ind, 56)
+    assert str(exc.value) == "bimorphism count exceeded 56 nodes x 9 objects: 505 maps"
+    # into a separated codomain each map is a leaf of the search, so its
+    # node count stops the list first: 105 maps need 180 nodes
+    c5 = _chain(5)
+    with pytest.raises(SizeExceeded, match="functor enumeration exceeded 179 nodes"):
+        enumerate_bimorphisms(c3, c3, c5, 179)
+
+
+def test_universal_property_past_the_count_guard():
+    # 14,112 bimorphisms chain4 (x) chain4 -> chain6 and as many sup-maps
+    # out of the 70-object carrier: neither list is squared
+    assert check_universal_property(_chain(4), _chain(4), _chain(6))
+
+
+def test_carrier_guard_stops_before_its_matrix():
+    # the chain9 (x) chain9 carrier would be a 12,870^2 hom matrix:
+    # 12,870^2 > 2,000,000 x 9 stops the build after the sup-map list
+    with pytest.raises(SizeExceeded) as exc:
+        build_tensor_product(_chain(9), _chain(9))
+    assert str(exc.value) == "sup-map count exceeded 2000000 nodes x 9 objects: 12870 maps"
+
+
+def carrier_and_functor_hom(a, b):
+    """The carrier hom of A (x) B on the ideals xi_f(a, b) = B(b, f a), in
+    the order of the sup-maps f : A -> B^op, and the functor hom
+    [A, B^op](g, f) transposed: equal by Yoneda (`galois_iso`)."""
+    funs = enumerate_cocontinuous(a, opposite(b))
+    t = build_tensor_product(a, b)
+    index = {xi: k for k, xi in enumerate(t.ideal_vectors)}
+    nb = len(b)
+    ks = [
+        index[tuple(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))]
+        for f in funs
+    ]
+    carrier = tuple(tuple(t.carrier.hom[k][j] for j in ks) for k in ks)
+    return carrier, tuple(zip(*functor_hom_matrix(opposite(b), funs, funs)))
+
+
+@pytest.mark.parametrize("name", SUP_MAP_OBJECTS)
+def test_carrier_hom_is_the_transposed_functor_hom(name):
+    a = SUP_MAP_OBJECTS[name]
+    carrier, functor = carrier_and_functor_hom(a, a)
+    assert carrier == functor
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_galois_identities_on_random_sup_lattices(data):
+    # the carrier hom, and the back map f(a) = colim_B B(-, f a) = f(a)
+    q = data.draw(st.sampled_from([builtin(n) for n in BUILTIN_NAMES]))
+    a, b = (data.draw(random_sup_lattices([q], max_size=8)) for _ in range(2))
+    carrier, functor = carrier_and_functor_hom(a, b)
+    assert carrier == functor
+    nb = len(b)
+    for f in enumerate_cocontinuous(a, opposite(b)):
+        for fx in f.mapping:
+            assert b.kernel.colimit(range(nb), [b.hom[y][fx] for y in range(nb)]) == fx
+
+
+def test_galois_fails_on_a_missing_ideal(m3, monkeypatch):
+    # one ideal short, the sup-maps no longer map onto the ideals
+    ideals = tensorprod.ideals_by_columns
+    monkeypatch.setattr(tensorprod, "ideals_by_columns", lambda *args: ideals(*args)[1:])
+    assert not galois_iso(m3, m3)
+
+
+def test_universal_property_fails_on_swapped_extensions(chain2, monkeypatch):
+    # the same set of extensions, each paired with another bimorphism: the
+    # restriction along i no longer gives g back
+    t = build_tensor_product(chain2, chain2)
+    bimorphs = enumerate_bimorphisms(chain2, chain2, chain2)
+    swapped = {
+        g.mapping: extend_bimorphism(t, h) for g, h in zip(bimorphs, reversed(bimorphs))
+    }
+    monkeypatch.setattr(tensorprod, "extend_bimorphism", lambda t, g: swapped[g.mapping])
+    assert not check_universal_property(chain2, chain2, chain2, t=t)
+
+
+def restriction_and_extension_hom(a, b, c, node_cap=DEFAULT_NODE_CAP):
+    """The functor hom of the bimorphisms A (x) B -> C and of their
+    extensions to the carrier: equal by density
+    (`check_universal_property`)."""
+    t = build_tensor_product(a, b, node_cap=node_cap)
+    bimorphs = enumerate_bimorphisms(a, b, c, node_cap)
+    extensions = [extend_bimorphism(t, g) for g in bimorphs]
+    return (
+        functor_hom_matrix(c, bimorphs, bimorphs),
+        functor_hom_matrix(c, extensions, extensions),
+    )
+
+
+@pytest.mark.parametrize("triple", BIMORPHISM_TRIPLES, ids="-".join)
+def test_extension_preserves_the_functor_hom(triple):
+    restricted, extended = restriction_and_extension_hom(*(SUP_MAP_OBJECTS[n] for n in triple))
+    assert restricted == extended
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_extension_preserves_the_functor_hom_on_random_sup_lattices(data):
+    q = data.draw(st.sampled_from([builtin(n) for n in BUILTIN_NAMES]))
+    a, b, c = (data.draw(random_sup_lattices([q], max_size=5)) for _ in range(3))
+    try:
+        restricted, extended = restriction_and_extension_hom(a, b, c, 20_000)
+    except SizeExceeded:
+        assume(False)
+    assert restricted == extended
 
 
 @pytest.mark.parametrize("name", ["chain2", "chain3", "M3", "V-lukasiewicz3", "V-powerset_z2", "H2"])
