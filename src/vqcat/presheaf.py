@@ -2,18 +2,21 @@
 
 A presheaf is a V-functor X^op -> V: a vector over the base objects with
 X(x,x') * phi(x') <= phi(x).  `enumerate_presheaves` finds them with
-`search_vfunctors`, the one backtracking search, which also enumerates the
-V-functors between any two categories.  It searches each distinct tail of
-candidate masks once and shares its completions, kept as one column of
-bytes per depth.  Its guard counts the nodes of the unshared search, not
-the naive |V|^m candidate space, which pruning makes meaningless.
+`vfunctor_rows`, the one backtracking search, which also enumerates the
+V-functors between any two categories (`search_vfunctors` unpacks and sorts
+its mappings).  It searches each distinct tail of candidate masks once and
+shares its completions, kept as one column of bytes per depth, and returns
+one buffer with a row of bytes per mapping.  D(X) keeps those rows, sorted
+as bytes, and decodes its vectors only when they are read.  The guard
+counts the nodes of the unshared search, not the naive |V|^m candidate
+space, which pruning makes meaningless.
 """
 
 from __future__ import annotations
 
-from array import array
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .dist import Distributor, VFunctor, identity_dist
 from .errors import QuantaleMismatch, SizeExceeded
@@ -31,23 +34,31 @@ class Presheaf:
 
 
 class PresheafCategory:
-    """D(X) together with the enumerated presheaf vectors.
+    """D(X) together with its presheaf vectors, kept as sorted byte rows.
 
     Objects are ordered lexicographically by value-index vector, so indices
-    are reproducible across runs; `index` maps a vector back to its object
-    index.  The full hom matrix (`cat`) is built on first use by the
-    byte kernel (`kernel.hom_matrix`), a few big-int `&` per row and
-    join-irreducible; no decision reads it.
+    are reproducible across runs.  `rows` holds one `bytes` row of `fmt`
+    cells per presheaf (`vfunctor_rows`), sorted; `len` reads only them.
+    `vectors` (the value tuples) and `index` (a vector back to its object
+    index) are built on first read.  The full hom matrix (`cat`) is built
+    on first use by the byte kernel (`kernel.hom_matrix`), a few big-int `&`
+    per row and join-irreducible; no decision reads it.
     """
 
-    def __init__(self, base: VCategory, vectors):
-        self.base = base
-        self.vectors = tuple(tuple(v) for v in vectors)
-        self.index = {v: i for i, v in enumerate(self.vectors)}
+    def __init__(self, base: VCategory, rows, fmt: str):
+        self.base, self.rows, self.fmt = base, rows, fmt
         self._cat = None
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.rows)
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_unpack(b"".join(self.rows), len(self.rows), len(self.base), self.fmt))
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {v: i for i, v in enumerate(self.vectors)}
 
     @property
     def cat(self) -> VCategory:
@@ -77,15 +88,33 @@ def presheaf_subcategory(x: VCategory, vectors) -> VCategory:
 
 @lru_cache(maxsize=64)
 def _cells(n: int):
-    """The cell of each image c < n, a native int of 1 byte if n <= 256, else
-    of 2 or 4; its width, and the `memoryview.cast` format of a column."""
+    """The cell of each image c < n, a big-endian int of 1 byte if n <= 256,
+    else of 2 or 4, so that bytes order is image order; its width, and its
+    `struct` format."""
     fmt = "B" if n <= 256 else "H" if n <= 1 << 16 else "I"
-    raw, w = array(fmt, range(n)).tobytes(), array(fmt).itemsize
+    raw, w = struct.pack(f">{n}{fmt}", *range(n)), struct.calcsize(fmt)
     return tuple(raw[c * w : (c + 1) * w] for c in range(n)), w, fmt
 
 
+def _unpack(buf, count: int, m: int, fmt: str) -> list:
+    """The mapping tuples of `count` rows of m cells of `fmt` in `buf`."""
+    if not m:
+        return [()] * count  # struct cannot step over rows of no bytes
+    return list(struct.iter_unpack(f">{m}{fmt}", buf))
+
+
 def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
-    """All V-functors dom -> cod, as sorted mapping tuples: the one search.
+    """All V-functors dom -> cod, as sorted mapping tuples: the rows of
+    `vfunctor_rows`, the one search, unpacked and sorted."""
+    buf, count, fmt = vfunctor_rows(dom, cod, node_cap, what)
+    out = _unpack(buf, count, len(dom), fmt)
+    out.sort()
+    return out
+
+
+def vfunctor_rows(dom: VCategory, cod: VCategory, node_cap: int, what: str):
+    """All V-functors dom -> cod, as one buffer of rows in search order, the
+    row count and the cell format: the one search.
 
     Each object's candidate images are an int bitmask, first the images c
     with dom(t, t) <= cod(c, c).  Placing an image c2 at s narrows every
@@ -103,6 +132,11 @@ def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
     search, a reused tail adding its nodes, so past `node_cap` SizeExceeded
     says "<what> enumeration exceeded" exactly when the unshared search does.
 
+    The root's columns are copied into one buffer, one strided slice
+    assignment per column and cell byte, so that each mapping is one row of
+    cells in object order.  Cells are big-endian and of one width, so
+    sorting the rows as bytes sorts the mappings as tuples.
+
     For presheaves (dom = X^op, cod = V) no mask is ever emptied: the join
     of X(t, s) * phi(s) over the placed s always fits t, because
     X(t, u) * X(u, s) <= X(t, s).  So a presheaf search cuts no branch
@@ -115,7 +149,7 @@ def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
         raise QuantaleMismatch(f"{what} search between V-categories over different quantales")
     m, n = len(dom), len(cod)
     if m == 0:
-        return [()]
+        return b"", 1, "B"  # the one empty mapping
     q = dom.quantale
     leq, dh, ch = q.leq, dom.hom, cod.hom
     order = sorted(range(m), key=lambda a: (-sum(leq[q.unit][dh[b][a]] for b in range(m)), a))
@@ -185,17 +219,26 @@ def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
         cols = solve(0, root)
     finally:
         memo.clear()
-    if fmt != "B":
-        cols = [memoryview(col).cast(fmt) for col in cols]
-    out = list(zip(*[cols[d] for d in map(order.index, range(m))])) if cols else []
-    out.sort()
-    return out
+    if not cols:
+        return b"", 0, fmt
+    buf = bytearray(len(cols[0]) * m)
+    for col, t in zip(cols, order):
+        for k in range(w):
+            buf[t * w + k :: m * w] = col[k::w]
+    return buf, len(cols[0]) // w, fmt
 
 
 def enumerate_presheaves(x: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> PresheafCategory:
-    """All presheaves on x: the V-functors x^op -> V, by `search_vfunctors`."""
+    """All presheaves on x: the V-functors x^op -> V, the rows of
+    `vfunctor_rows` sorted as bytes."""
     v = quantale_as_vcategory(x.quantale)
-    return PresheafCategory(x, search_vfunctors(opposite(x), v, node_cap, "presheaf"))
+    buf, count, fmt = vfunctor_rows(opposite(x), v, node_cap, "presheaf")
+    if not buf:  # no presheaf, or the one on an empty x
+        rows = [b""] * count
+    else:
+        rows = [row for (row,) in struct.iter_unpack(f"{len(buf) // count}s", buf)]
+    rows.sort()
+    return PresheafCategory(x, rows, fmt)
 
 
 def yoneda(x: VCategory, dx: PresheafCategory) -> VFunctor:

@@ -571,3 +571,13 @@ def test_main_theorem_on_the_frontier(x):
     # list of them is squared, so no count guard stops them
     rep = check_main_theorem(x)
     assert rep.ccd is True and rep.nuclear is True
+
+
+def test_main_theorem_on_bool5_fails_fast_at_the_default_cap():
+    # bool5 is ccd, but it has 32^5 endo sup-maps, one per map of its 5
+    # atoms: the node cap stops that search in `is_nuclear` with a typed
+    # SizeExceeded, after about 0.01 s, before any list of them is built
+    x = boolean_algebra(5)
+    assert is_ccd(x)
+    with pytest.raises(SizeExceeded, match="^functor enumeration exceeded 2000000 nodes$"):
+        check_main_theorem(x)

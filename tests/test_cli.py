@@ -113,6 +113,17 @@ def test_presheaves_count_and_list(chain2_file, capsys):
     assert "<" in capsys.readouterr().out
 
 
+def test_presheaves_without_list_decodes_no_vector(chain2_file, capsys, monkeypatch):
+    def refuse(pc):
+        raise AssertionError("presheaf vectors decoded")
+
+    monkeypatch.setattr(PresheafCategory, "vectors", property(refuse))
+    assert main(["presheaves", chain2_file]) == 0
+    assert capsys.readouterr().out == "vcategory C2: 3 presheaves\n"
+    with pytest.raises(AssertionError, match="decoded"):
+        main(["presheaves", "--list", chain2_file])
+
+
 def test_cauchy(chain2_file, capsys):
     assert main(["cauchy", chain2_file]) == 0
 

@@ -4,8 +4,10 @@ import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import vqcat
+from vqcat.cocomplete import check_cocomplete
 from vqcat.dist import (
     functor_hom,
     identity_dist,
@@ -48,6 +50,7 @@ from categories import (
     lukasiewicz,
     oracle_category,
     poset,
+    random_sup_lattices,
 )
 
 DATA = Path(vqcat.__file__).parent / "data"
@@ -149,6 +152,41 @@ def test_presheaf_node_count_is_pinned(name):
     enumerate_presheaves(x, node_cap=nodes)
     with pytest.raises(SizeExceeded, match=f"presheaf enumeration exceeded {nodes - 1} nodes"):
         enumerate_presheaves(x, node_cap=nodes - 1)
+
+
+def rows_only(x):
+    """D(x) after `len` and a successful `check_cocomplete`, which need
+    only its byte rows."""
+    dx = enumerate_presheaves(x)
+    n = len(dx)
+    assert check_cocomplete(x, dx).dx is dx
+    assert "vectors" not in vars(dx) and "index" not in vars(dx)
+    assert len(dx.vectors) == n == len(set(dx.vectors))
+    assert list(dx.vectors) == sorted(dx.vectors)
+    return dx
+
+
+@pytest.mark.parametrize("name", ["bool4-two", "V-luk8"])
+def test_len_and_cocompleteness_decode_no_vector(name):
+    rows_only(pinned_category(name))
+
+
+@settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(random_sup_lattices([builtin(n) for n in BUILTIN_NAMES]))
+def test_len_and_cocompleteness_decode_no_vector_on_random_sup_lattices(x):
+    rows_only(x)
+
+
+@pytest.mark.parametrize("name", ["bool4-two", "V-luk8", "VxV-r422"])
+def test_index_is_built_on_first_read_and_inverts_vectors(name):
+    dx = enumerate_presheaves(pinned_category(name))
+    assert "index" not in vars(dx)
+    index = dx.index
+    assert dx.index is index and "vectors" in vars(dx)
+    assert len(index) == len(dx.vectors) == len(dx)
+    assert all(dx.vectors[i] == v for v, i in index.items())
 
 
 def test_yoneda_lemma_equality(chain2, v_luk):

@@ -286,9 +286,9 @@ def test_galois_past_the_tensor_presheaves(make):
     assert galois_iso(x, x)
 
 
-def test_galois_back_map_takes_no_tensor_or_join(m3, monkeypatch):
-    # the back map f(a) = colim_B xi(a, -) is Yoneda (the test below), so
-    # galois_iso computes neither it nor a join of |B| tensors
+def test_galois_iso_calls_no_tensor_or_join(m3, monkeypatch):
+    # galois_iso calls neither tensor_obj nor join_obj: it computes no back
+    # map f(a) = colim_B xi(a, -), which Yoneda makes f(a) (the test below)
     def refuse(*args):
         raise AssertionError("tensor_obj or join_obj called")
 
