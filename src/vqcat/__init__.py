@@ -4,14 +4,11 @@ from .quantale import BUILTIN_NAMES, Quantale, builtin, powerset_monoid, validat
 from .vcat import (
     VCategory,
     discrete,
-    is_separated,
     opposite,
     quantale_as_vcategory,
     row_object,
-    separated_reflection,
     separation_witness,
     tensor_vcat,
-    terminal_category,
     underlying_order,
     unit_category,
     validate_vcategory,
@@ -20,17 +17,10 @@ from .dist import (
     Distributor,
     VFunctor,
     compose_dist,
-    compose_functors,
-    functor_hom,
-    graph,
     identity_dist,
-    identity_functor,
-    is_adjoint_functors,
-    is_adjoint_pair,
     right_extension,
     right_lifting,
     validate_distributor,
-    validate_functor,
 )
 from .presheaf import (
     Presheaf,
@@ -38,7 +28,6 @@ from .presheaf import (
     cauchy_completion,
     enumerate_presheaves,
     inverter,
-    presheaf_hom,
     yoneda,
 )
 from .cocomplete import (
@@ -46,8 +35,6 @@ from .cocomplete import (
     check_cocomplete,
     is_cocontinuous,
     join_obj,
-    left_kan,
-    right_adjoint,
     sup_of,
     tensor_obj,
     weighted_colimit,
@@ -59,7 +46,6 @@ from .tensorprod import (
     extend_bimorphism,
     galois_iso,
     is_bimorphism,
-    is_g_ideal,
     reflector_q,
     star_autonomy_check,
     vsup_category,

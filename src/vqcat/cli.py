@@ -281,6 +281,8 @@ def _cmd_cauchy(args, caps) -> int:
 
 def _cmd_check(args, caps) -> int:
     ws = _load(args.files, caps)
+    if not ws.vcats:
+        raise VqError(f"{' '.join(args.files)} defines no vcategory")
     _check_obj_cap(ws, caps)
     code = 0
     for name, x in ws.vcats.items():

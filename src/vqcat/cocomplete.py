@@ -12,11 +12,10 @@ and its witness enumerates D(X) and tabulates suprema only when read;
 (functor categories) usable without enumerating their presheaves.  Out of
 a separated cocomplete A, a map f : A -> B is cocontinuous exactly when it
 is a left adjoint, that is when every B(f-, c) is a representable presheaf
-A(-, g c).  `right_adjoint` finds each such column among A's columns, and
-`is_cocontinuous` asks only whether each is there, stopping at the first
-that is not; neither needs D(A).  Such a map is fixed by its values on
-`dense_generators`, a set G with every x the colimit of G weighted by
-A(G, x).
+A(-, g c).  `is_cocontinuous` asks only whether each such column is among
+A's columns, stopping at the first that is not, and needs no D(A).  Such
+a map is fixed by its values on `dense_generators`, a set G with every x
+the colimit of G weighted by A(G, x).
 """
 
 from __future__ import annotations
@@ -182,22 +181,6 @@ def weighted_colimit(phi: Distributor, f: VFunctor) -> VFunctor:
     return VFunctor(phi.dom, z, tuple(mapping))
 
 
-def left_kan(j: VFunctor, f: VFunctor) -> VFunctor:
-    """Pointwise Lan_j f (x) = join_y X(j y, x) (x) f(y)."""
-    if j.dom != f.dom:
-        raise ValueError("Kan extension needs a common domain")
-    x = j.cod
-    weight = Distributor(
-        x,
-        j.dom,
-        tuple(
-            tuple(x.hom[j.mapping[y]][a] for a in range(len(x)))
-            for y in range(len(j.dom))
-        ),
-    )
-    return weighted_colimit(weight, f)
-
-
 def dense_generators(a: VCategory) -> tuple[int, ...]:
     """An irredundant G with every x the colimit of G weighted by A(G, x).
 
@@ -218,31 +201,12 @@ def dense_generators(a: VCategory) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def right_adjoint(f: VFunctor) -> VFunctor | None:
-    """The right adjoint g of f : A -> B, or None if f has none.
-
-    f -| g iff B(f x, c) = A(x, g c) for all x and c, so g(c) is the object
-    whose column A(-, g c) equals B(f-, c); on a separated A it is unique.
-    Such a g makes f a V-functor, so a map that is not one gets None.
-    """
-    a, b = f.dom, f.cod
-    mapping = tuple(map(a.column_index.get, _columns(f)))
-    # an empty A has no columns at all, so zip yields none for B's objects
-    if None in mapping or len(mapping) != len(b):
-        return None
-    return VFunctor(b, a, mapping)
-
-
-def _columns(f: VFunctor):
-    """The columns B(f-, c) of f : A -> B, one per object c of B, built
-    one at a time."""
-    return zip(*map(f.cod.hom.__getitem__, f.mapping))
-
-
 def is_cocontinuous(f: VFunctor) -> bool:
     """f preserves all suprema, its domain being separated cocomplete: it is
-    a left adjoint (`right_adjoint`).  The answer is known at the first
-    column B(f-, c) that is no column of A, and the rest is not built."""
+    a left adjoint, every column B(f-, c) a column A(-, g c) of A.  The
+    columns are built one at a time, and the answer is known at the first
+    that is no column of A."""
     if not f.mapping:
         return not f.cod.hom
-    return all(map(f.dom.column_index.__contains__, _columns(f)))
+    columns = zip(*map(f.cod.hom.__getitem__, f.mapping))
+    return all(map(f.dom.column_index.__contains__, columns))

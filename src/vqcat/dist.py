@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundaryMismatch, NotAFunctor, QuantaleMismatch, VCatError
+from .errors import BoundaryMismatch, QuantaleMismatch, VCatError
 from .kernel import hom_matrix
 from .vcat import VCategory
 
@@ -26,35 +26,6 @@ class Distributor:
     dom: VCategory
     cod: VCategory
     mat: tuple[tuple[int, ...], ...]  # mat[y][x] = phi(y, x)
-
-
-def validate_functor(dom: VCategory, cod: VCategory, mapping) -> VFunctor:
-    if dom.quantale != cod.quantale:
-        raise QuantaleMismatch("functor between categories over different quantales")
-    mapping = tuple(mapping)
-    if len(mapping) != len(dom):
-        raise NotAFunctor("object map has wrong length")
-    q = dom.quantale
-    for fx in mapping:
-        if not 0 <= fx < len(cod):
-            raise NotAFunctor(f"image index {fx} out of range")
-    for x in range(len(dom)):
-        for x2 in range(len(dom)):
-            if not q.leq[dom.hom[x][x2]][cod.hom[mapping[x]][mapping[x2]]]:
-                raise NotAFunctor(
-                    "hom inequality failed", (dom.objects[x], dom.objects[x2])
-                )
-    return VFunctor(dom, cod, mapping)
-
-
-def identity_functor(x: VCategory) -> VFunctor:
-    return VFunctor(x, x, tuple(range(len(x))))
-
-
-def compose_functors(g: VFunctor, f: VFunctor) -> VFunctor:
-    if f.cod is not g.dom and f.cod != g.dom:
-        raise BoundaryMismatch("functor composition boundary mismatch")
-    return VFunctor(f.dom, g.cod, tuple(g.mapping[fx] for fx in f.mapping))
 
 
 def functor_hom(f: VFunctor, g: VFunctor) -> int:
@@ -151,21 +122,6 @@ def right_lifting(psi: Distributor, xi: Distributor) -> Distributor:
         for y in range(len(psi.dom))
     )
     return Distributor(xi.dom, psi.dom, mat)
-
-
-def graph(f: VFunctor) -> tuple[Distributor, Distributor]:
-    """The adjoint pair f_* -| f^* induced by a V-functor.
-
-    f_*(y,x) = Y(y, fx) goes X -|-> Y;  f^*(x,y) = Y(fx, y) goes Y -|-> X.
-    """
-    x, y = f.dom, f.cod
-    lower = Distributor(
-        x, y, tuple(tuple(y.hom[b][f.mapping[a]] for a in range(len(x))) for b in range(len(y)))
-    )
-    upper = Distributor(
-        y, x, tuple(tuple(y.hom[f.mapping[a]][b] for b in range(len(y))) for a in range(len(x)))
-    )
-    return lower, upper
 
 
 def dist_le(phi: Distributor, psi: Distributor) -> bool:

@@ -65,12 +65,6 @@ class TransitivityFail(VCatError):
     pass
 
 
-class NotAFunctor(VqError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class QuantaleMismatch(VqError):
     pass
 

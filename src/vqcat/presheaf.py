@@ -257,20 +257,6 @@ def dist_to_functor(phi: Distributor, dx: PresheafCategory) -> VFunctor:
     return VFunctor(phi.dom, dx.cat, mapping)
 
 
-def functor_to_dist(f: VFunctor, dx: PresheafCategory) -> Distributor:
-    """Inverse of dist_to_functor: phi(x, y) = f(y)(x)."""
-    if f.cod != dx.cat:
-        raise ValueError("functor codomain is not the presheaf category")
-    return Distributor(
-        f.dom,
-        dx.base,
-        tuple(
-            tuple(dx.vectors[f.mapping[y]][a] for y in range(len(f.dom)))
-            for a in range(len(dx.base))
-        ),
-    )
-
-
 def apply_D(f: VFunctor, phi):
     """Value vector of (Df)(phi) = f_* . phi, without materializing D(Y).
 

@@ -268,6 +268,16 @@ def reflect_vector(q, ideal_vectors, values):
     return tuple(acc)
 
 
+def _galois_images(a: VCategory, b: VCategory, node_cap: int):
+    """The image xi_f(x, y) = B(y, f x) of each sup-map f : A -> B^op, as a
+    vector in pair order."""
+    nb = len(b)
+    return [
+        tuple(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))
+        for f in enumerate_cocontinuous(a, opposite(b), node_cap)
+    ]
+
+
 def build_tensor_product(
     a: VCategory,
     b: VCategory,
@@ -286,13 +296,7 @@ def build_tensor_product(
     if wb is None:
         wb = _witness_for(b, "right factor", node_cap)
     ab = tensor_vcat(a, b)
-    nb = len(b)
-    ideal_vectors = tuple(
-        sorted(
-            tuple(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))
-            for f in enumerate_cocontinuous(a, opposite(b), node_cap)
-        )
-    )
+    ideal_vectors = tuple(sorted(_galois_images(a, b, node_cap)))
     if len(ideal_vectors) ** 2 > node_cap * len(a):  # before the k x k carrier
         raise _count_exceeded("sup-map", len(ideal_vectors), node_cap, a)
     carrier = presheaf_subcategory(ab, ideal_vectors)
@@ -402,12 +406,7 @@ def galois_iso(
         wa = _witness_for(a, "left factor", node_cap)
     if wb is None:
         wb = _witness_for(b, "right factor", node_cap)
-    nb = len(b)
-    images = {
-        tuple(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))
-        for f in enumerate_cocontinuous(a, opposite(b), node_cap)
-    }
-    return images == set(ideals_by_columns(wa, wb, node_cap))
+    return set(_galois_images(a, b, node_cap)) == set(ideals_by_columns(wa, wb, node_cap))
 
 
 def star_autonomy_check(a: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> bool:

@@ -230,7 +230,14 @@ def _derived_vcat(ws: Workspace, no: int, name: str, toks, node_cap, obj_cap):
         ws.vcats[name] = quantale_as_vcategory(ws.quantales[toks[1]])
         ws.vcat_quantale[name] = toks[1]
     elif kind == "tensor" and len(toks) == 3:
-        ws.vcats[name] = tensor_vcat(vcat(toks[1]), vcat(toks[2]))
+        x, y = vcat(toks[1]), vcat(toks[2])
+        n = len(x) * len(y)
+        if n * n > node_cap:  # before the n x n hom matrix
+            raise SizeExceeded(
+                f"vcategory {name} would have {n} x {n} hom entries (cap {node_cap})",
+                estimate=n * n,
+            )
+        ws.vcats[name] = tensor_vcat(x, y)
         ws.vcat_quantale[name] = qname_of(toks[1])
     elif kind == "op" and len(toks) == 2:
         ws.vcats[name] = opposite(vcat(toks[1]))
@@ -256,7 +263,8 @@ def _derived_vcat(ws: Workspace, no: int, name: str, toks, node_cap, obj_cap):
 def parse_text(
     text: str, ws: Workspace | None = None, node_cap=DEFAULT_NODE_CAP, obj_cap=None
 ) -> Workspace:
-    """Parse one file into `ws`; `presheaves X` is bounded by the two caps."""
+    """Parse one file into `ws`; `presheaves X` is bounded by the two caps,
+    `tensor X Y` by `node_cap` on its hom entries."""
     ws = ws or Workspace()
     block = None
     for no, raw in enumerate(text.splitlines(), start=1):

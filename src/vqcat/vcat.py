@@ -119,10 +119,6 @@ def separation_witness(x: VCategory):
     return None
 
 
-def is_separated(x: VCategory) -> bool:
-    return separation_witness(x) is None
-
-
 def opposite(x: VCategory) -> VCategory:
     return VCategory(
         x.quantale,
@@ -172,46 +168,6 @@ def unit_category(q: Quantale) -> VCategory:
     return discrete(q, ("0",))
 
 
-def terminal_category(q: Quantale) -> VCategory:
-    """One object with hom top."""
-    return VCategory(q, ("0",), ((q.top,),))
-
-
 def quantale_as_vcategory(q: Quantale) -> VCategory:
     """V itself, with hom the residuation."""
     return VCategory(q, q.elements, q.hom)
-
-
-def separated_reflection(x: VCategory):
-    """Quotient by mutual e-below-ness.
-
-    Returns (quotient, class_map) with class_map[i] the quotient index of
-    object i.  Representatives are least-index; well-definedness of the hom on
-    classes is re-verified.
-    """
-    q = x.quantale
-    order = underlying_order(x)
-    m = len(x)
-    cls = [-1] * m
-    reps = []
-    for a in range(m):
-        if cls[a] >= 0:
-            continue
-        cls[a] = len(reps)
-        for b in range(a + 1, m):
-            if cls[b] < 0 and order[a][b] and order[b][a]:
-                cls[b] = len(reps)
-        reps.append(a)
-    for a in range(m):
-        for b in range(m):
-            if x.hom[a][b] != x.hom[reps[cls[a]]][reps[cls[b]]]:
-                raise TransitivityFail(
-                    "hom not constant on equivalence classes",
-                    (x.objects[a], x.objects[b]),
-                )
-    quotient = VCategory(
-        q,
-        tuple(x.objects[r] for r in reps),
-        tuple(tuple(x.hom[r][s] for s in reps) for r in reps),
-    )
-    return quotient, tuple(cls)

@@ -4,7 +4,10 @@ chain quantales; the hypothesis strategies `random_categories` and
 `random_sup_lattices`; and the test-only helpers `try_cocomplete`,
 `cocomplete_by_sup_table`, `left_adjoints`, `dual_with_witness`,
 `nuclear_by_carrier`, `unit_and_injectivity`, `search_by_placement`,
-`is_presheaf_vector` and `hom_ij`."""
+`is_presheaf_vector` and `hom_ij`; and the small constructions the
+library does not need: `validate_functor`, `identity_functor`, `graph`,
+`functor_to_dist`, `terminal_category`, `is_separated` and
+`right_adjoint`."""
 
 from itertools import product
 from operator import itemgetter
@@ -13,7 +16,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from vqcat.cocomplete import check_cocomplete, dense_generators, sup_target, tensor_obj
-from vqcat.dist import VFunctor
+from vqcat.dist import Distributor, VFunctor
 from vqcat.errors import NoSuchColimit, NotCocomplete, NotSeparated, SizeExceeded
 from vqcat.kernel import hom_matrix
 from vqcat.presheaf import (
@@ -31,10 +34,11 @@ from vqcat.tensorprod import (
     vsup_category,
 )
 from vqcat.vcat import (
-    is_separated,
+    VCategory,
     opposite,
     quantale_as_vcategory,
     row_object,
+    separation_witness,
     validate_vcategory,
 )
 
@@ -104,6 +108,66 @@ def oracle_category(name):
 
 ORACLE_CATEGORIES = [f"V-{n}" for n in BUILTIN_NAMES] + ["chain2", "chain3", "M3", "N5", "H2"]
 NOT_CCD = ("M3", "N5", "H2")
+
+
+class NotAFunctor(ValueError):
+    pass
+
+
+def validate_functor(dom, cod, mapping):
+    """The V-functor dom -> cod with object map `mapping`, once
+    dom(x, x') <= cod(f x, f x') holds for all x, x'; NotAFunctor names
+    the first pair where it fails."""
+    mapping = tuple(mapping)
+    leq = dom.quantale.leq
+    for x, x2 in product(range(len(dom)), repeat=2):
+        if not leq[dom.hom[x][x2]][cod.hom[mapping[x]][mapping[x2]]]:
+            raise NotAFunctor("hom inequality failed", (dom.objects[x], dom.objects[x2]))
+    return VFunctor(dom, cod, mapping)
+
+
+def identity_functor(x):
+    return VFunctor(x, x, tuple(range(len(x))))
+
+
+def graph(f):
+    """The adjoint pair f_* -| f^* of a V-functor f : X -> Y:
+    f_*(y, x) = Y(y, f x) goes X -|-> Y, f^*(x, y) = Y(f x, y) goes Y -|-> X."""
+    x, y = f.dom, f.cod
+    lower = tuple(tuple(y.hom[b][fa] for fa in f.mapping) for b in range(len(y)))
+    upper = tuple(y.hom[fa] for fa in f.mapping)
+    return Distributor(x, y, lower), Distributor(y, x, upper)
+
+
+def functor_to_dist(f, dx):
+    """The distributor phi(x, y) = f(y)(x) of a functor f into D(X), the
+    inverse of `presheaf.dist_to_functor`."""
+    return Distributor(f.dom, dx.base, tuple(zip(*(dx.vectors[fy] for fy in f.mapping))))
+
+
+def terminal_category(q):
+    """One object with hom top."""
+    return VCategory(q, ("0",), ((q.top,),))
+
+
+def is_separated(x):
+    return separation_witness(x) is None
+
+
+def right_adjoint(f):
+    """The right adjoint g of f : A -> B, or None if f has none, the oracle
+    for `cocomplete.is_cocontinuous`.
+
+    f -| g iff B(f x, c) = A(x, g c) for all x and c, so g(c) is the object
+    whose column A(-, g c) equals B(f-, c); on a separated A it is unique.
+    Such a g makes f a V-functor, so a map that is not one gets None.
+    """
+    a, b = f.dom, f.cod
+    mapping = tuple(map(a.column_index.get, zip(*map(b.hom.__getitem__, f.mapping))))
+    # an empty A has no columns at all, so zip yields none for B's objects
+    if None in mapping or len(mapping) != len(b):
+        return None
+    return VFunctor(b, a, mapping)
 
 
 def try_cocomplete(x, dx=None, node_cap=DEFAULT_NODE_CAP):

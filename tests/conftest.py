@@ -1,7 +1,9 @@
 import pytest
 
 from vqcat.quantale import builtin
-from vqcat.vcat import quantale_as_vcategory, terminal_category, validate_vcategory
+from vqcat.vcat import quantale_as_vcategory, validate_vcategory
+
+from categories import terminal_category
 
 
 @pytest.fixture(scope="session")

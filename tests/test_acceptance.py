@@ -23,11 +23,9 @@ from vqcat.ccd import (
 from vqcat.cocomplete import check_cocomplete, tensor_obj
 from vqcat.dist import (
     VFunctor,
-    graph,
     is_adjoint_functors,
     right_lifting,
     validate_distributor,
-    validate_functor,
 )
 from vqcat.errors import (
     NoSuchColimit,
@@ -54,17 +52,23 @@ from vqcat.tensorprod import (
     reflector_q,
 )
 from vqcat.vcat import (
-    is_separated,
     opposite,
     quantale_as_vcategory,
     separation_witness,
     tensor_vcat,
-    terminal_category,
     underlying_order,
     validate_vcategory,
 )
 
-from categories import hom_ij, is_presheaf_vector, try_cocomplete
+from categories import (
+    graph,
+    hom_ij,
+    is_presheaf_vector,
+    is_separated,
+    terminal_category,
+    try_cocomplete,
+    validate_functor,
+)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from vqcat.ccd import (
     totally_below,
 )
 from vqcat.cocomplete import check_cocomplete, is_cocontinuous
-from vqcat.dist import functor_hom, identity_functor
+from vqcat.dist import functor_hom
 from vqcat.errors import NotCCD, NotCocomplete, NotSeparated, SizeExceeded
 from vqcat.presheaf import (
     D_on_functor,
@@ -41,7 +41,6 @@ from vqcat.vcat import (
     opposite,
     quantale_as_vcategory,
     row_object,
-    terminal_category,
     validate_vcategory,
 )
 
@@ -50,12 +49,14 @@ from categories import (
     ORACLE_CATEGORIES,
     diamond_m3,
     dual_with_witness,
+    identity_functor,
     left_adjoints,
     nuclear_by_carrier,
     oracle_category,
     poset,
     random_categories,
     random_sup_lattices,
+    terminal_category,
     unit_and_injectivity,
 )
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vqcat
-from vqcat import cli
+from vqcat import cli, textio
 from vqcat.cli import main
 from vqcat.corpus import data_text, run_corpus
 from vqcat.dist import compose_dist, right_extension, right_lifting
@@ -378,6 +378,39 @@ def test_tensor_file_without_vcategory_is_bad_input(chain2_file, tmp_path, capsy
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bare} defines no vcategory\n"
+
+
+@pytest.mark.parametrize("action", ["cocomplete", "ccd", "nuclear", "theorem"])
+def test_check_file_without_vcategory_is_bad_input(tmp_path, capsys, action):
+    bare = tmp_path / "bare.vcat"
+    bare.write_text("quantale V builtin two\n", encoding="utf-8")
+    assert main(["check", action, str(bare)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {bare} defines no vcategory\n"
+
+
+def test_tensor_constructor_obeys_node_cap(tmp_path, capsys, monkeypatch):
+    # C has 1,296 objects; D = C (x) C, with 1,679,616, is refused at the
+    # default caps before its hom matrix is built
+    tensor_vcat = textio.tensor_vcat
+
+    def refuse_past_cap(x, y):
+        assert (len(x) * len(y)) ** 2 <= 2_000_000, "the hom matrix was built past the cap"
+        return tensor_vcat(x, y)
+
+    monkeypatch.setattr(textio, "tensor_vcat", refuse_past_cap)
+    p = tmp_path / "probe.vcat"
+    p.write_text(
+        "quantale two builtin two\n"
+        "vcategory A = discrete two a0 a1 a2 a3 a4 a5\n"
+        "vcategory B = tensor A A\n"
+        "vcategory C = tensor B B\n"
+        "vcategory D = tensor C C\n",
+        encoding="utf-8",
+    )
+    assert main(["check", "cocomplete", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("size cap exceeded: vcategory D would have 1679616 x 1679616")
 
 
 def test_tensor_factor_check_obeys_node_cap(vluk_file, capsys):

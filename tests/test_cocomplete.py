@@ -13,8 +13,6 @@ from vqcat.cocomplete import (
     dense_generators,
     is_cocontinuous,
     join_obj,
-    left_kan,
-    right_adjoint,
     sup_of,
     sup_target,
     tensor_obj,
@@ -22,13 +20,10 @@ from vqcat.cocomplete import (
 )
 from vqcat.dist import (
     VFunctor,
-    graph,
     identity_dist,
-    identity_functor,
     is_adjoint_functors,
     right_lifting,
     validate_distributor,
-    validate_functor,
 )
 from vqcat.corpus import load
 from vqcat.errors import NoSuchColimit, NotCocomplete, NotSeparated
@@ -37,7 +32,6 @@ from vqcat.presheaf import apply_D, enumerate_presheaves, yoneda
 from vqcat.quantale import BUILTIN_NAMES, builtin, validate_quantale
 from vqcat.vcat import (
     discrete,
-    is_separated,
     opposite,
     quantale_as_vcategory,
     tensor_vcat,
@@ -47,9 +41,14 @@ from vqcat.vcat import (
 from categories import (
     ORACLE_CATEGORIES,
     cocomplete_by_sup_table,
+    graph,
+    identity_functor,
+    is_separated,
     oracle_category,
     random_categories,
+    right_adjoint,
     try_cocomplete,
+    validate_functor,
 )
 
 
@@ -165,18 +164,6 @@ def test_weighted_colimit_satisfies_lifting_equation(chain2):
                 _, upper = graph(colim)
                 _, f_upper = graph(f)
                 assert upper.mat == right_lifting(phi, f_upper).mat
-
-
-def test_left_kan_along_identity(chain2):
-    f = validate_functor(chain2, chain2, (1, 1))
-    assert left_kan(identity_functor(chain2), f).mapping == f.mapping
-
-
-def test_left_kan_of_yoneda_along_yoneda(chain2):
-    dx = enumerate_presheaves(chain2)
-    y = yoneda(chain2, dx)
-    lan = left_kan(y, y)
-    assert lan.mapping == tuple(range(len(dx)))
 
 
 def test_is_cocontinuous_identity(chain2):

@@ -5,7 +5,7 @@ holds one backtracking search: one function compares a counter against
 `node_cap`.  And it takes every hom of presheaf vectors from
 `kernel.hom_matrix`: no module calls the scalar `presheaf_hom`, which the
 tests keep as an oracle.  Likewise it decides cocontinuity by one column
-lookup (`cocomplete.right_adjoint`): no module calls `is_adjoint_functors`.
+lookup (`cocomplete.is_cocontinuous`): no module calls `is_adjoint_functors`.
 And it encodes vectors in one place: only `kernel.py` names `Planes`,
 calls `int.from_bytes`, `int.to_bytes` or a `translate` method, or reads
 `tables.decode` or `tables.planes`.  And it enumerates V-functors
@@ -19,7 +19,11 @@ images: `ccd.is_nuclear` reads neither the tensor carrier nor a hom
 matrix of sup-maps, and only the universal property extends bimorphisms.
 And one function builds a k x k functor hom matrix, `vsup_category`:
 `galois_iso` and `check_universal_property` read no hom matrix, since
-Yoneda and density prove their hom comparisons."""
+Yoneda and density prove their hom comparisons.  And it holds only reached
+code: every public top-level function is read by another part of the
+library, or is named by the benchmark (the tracer's targets and the
+workloads' `vq.<name>` reads) or is monad data that the acceptance tests
+read."""
 
 import ast
 import sys
@@ -29,7 +33,11 @@ import pytest
 
 import vqcat
 
+from test_tracer_targets import load_tracing
+
 SOURCES = sorted(Path(vqcat.__file__).parent.glob("*.py"))
+LIBRARY = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def imported_roots(tree):
@@ -335,12 +343,13 @@ def test_guard_sees_a_presheaf_enumeration_in_a_decision():
     ]
 
 
-def reading_sites(target):
-    """The "module.py:function" of every read of `target` in the library."""
+def reading_sites(target, trees=LIBRARY):
+    """The "module.py:function" of every read of `target` in `trees`, a
+    module tree per file name, by default the library."""
     return [
-        f"{path.name}:{owner}"
-        for path in SOURCES
-        for owner in reading_functions(ast.parse(path.read_text(encoding="utf-8")), target)
+        f"{name}:{owner}"
+        for name, tree in trees.items()
+        for owner in reading_functions(tree, target)
     ]
 
 
@@ -386,3 +395,59 @@ def test_tensorprod_imports_no_hom_matrix():
         for alias in node.names
     }
     assert "hom_matrix" not in imported
+
+
+MONAD_DATA = {"yoneda", "D_on_functor", "D_inv", "D_all", "mu", "d0", "d2", "inverter"}
+
+
+def workload_names():
+    """Every name the benchmark's workloads read off the library, `vq.<name>`."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "vq"
+    }
+
+
+def unreached_functions(trees, keep):
+    """The "module.py:function" of every public top-level function in
+    `trees` that is not in `keep` and that nothing in `trees` reads but the
+    function itself."""
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+                and node.name not in keep
+            ):
+                own = f"{name}:{node.name}"
+                if all(site == own for site in reading_sites(node.name, trees)):
+                    yield own
+
+
+def test_every_public_function_is_reached():
+    keep = {t.name for t in load_tracing().TARGETS} | workload_names() | MONAD_DATA
+    assert list(unreached_functions(LIBRARY, keep)) == []
+
+
+def test_guard_sees_an_unreached_function():
+    trees = {
+        "a.py": ast.parse(
+            "def decide(x):\n"
+            "    return helper(x)\n"
+            "def helper(x):\n"
+            "    return helper(x - 1) if x else 0\n"
+            "def orphan(x):\n"
+            "    return orphan(x - 1)\n"
+            "def _private():\n"
+            "    pass\n"
+            "def kept():\n"
+            "    pass\n"
+            "TABLE = {'tabled': tabled}\n"
+        ),
+        "b.py": ast.parse("def tabled():\n    return a.decide(1)\n"),
+    }
+    assert list(unreached_functions(trees, {"kept"})) == ["a.py:orphan"]

@@ -10,26 +10,30 @@ from vqcat.dist import (
     Distributor,
     VFunctor,
     compose_dist,
-    compose_functors,
     dist_le,
     functor_hom,
-    graph,
     identity_dist,
-    identity_functor,
     is_adjoint_functors,
     is_adjoint_pair,
     right_extension,
     right_lifting,
     validate_distributor,
-    validate_functor,
 )
-from vqcat.errors import NotAFunctor, VCatError
+from vqcat.errors import VCatError
 from vqcat.presheaf import enumerate_presheaves
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.tensorprod import enumerate_vfunctors
 from vqcat.vcat import discrete, opposite, quantale_as_vcategory, validate_vcategory
 
-from categories import ORACLE_CATEGORIES, oracle_category, random_categories
+from categories import (
+    NotAFunctor,
+    ORACLE_CATEGORIES,
+    graph,
+    identity_functor,
+    oracle_category,
+    random_categories,
+    validate_functor,
+)
 
 
 def all_functors(dom, cod):
@@ -185,15 +189,6 @@ def test_graph_adjoint(chain2, v_luk):
     idd = identity_dist(chain2)
     lower, upper = graph(identity_functor(chain2))
     assert lower.mat == idd.mat and upper.mat == idd.mat
-
-
-def test_graph_functorial(chain2):
-    for f in all_functors(chain2, chain2):
-        for g in all_functors(chain2, chain2):
-            gf_lower, _ = graph(compose_functors(g, f))
-            g_lower, _ = graph(g)
-            f_lower, _ = graph(f)
-            assert gf_lower.mat == compose_dist(g_lower, f_lower).mat
 
 
 def test_bottom_pair_not_adjoint(chain2):

@@ -12,7 +12,6 @@ from vqcat.dist import (
     functor_hom,
     identity_dist,
     validate_distributor,
-    validate_functor,
 )
 from vqcat.errors import SizeExceeded, VCatError
 from vqcat.presheaf import (
@@ -24,7 +23,6 @@ from vqcat.presheaf import (
     d2,
     dist_to_functor,
     enumerate_presheaves,
-    functor_to_dist,
     inverter,
     mu,
     presheaf_hom,
@@ -34,7 +32,6 @@ from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.textio import parse_files
 from vqcat.vcat import (
     discrete,
-    is_separated,
     opposite,
     quantale_as_vcategory,
     tensor_vcat,
@@ -44,13 +41,16 @@ from vqcat.vcat import (
 
 from categories import (
     ORACLE_CATEGORIES,
-    hom_ij,
+    functor_to_dist,
     heyting,
+    hom_ij,
     is_presheaf_vector,
+    is_separated,
     lukasiewicz,
     oracle_category,
     poset,
     random_sup_lattices,
+    validate_functor,
 )
 
 DATA = Path(vqcat.__file__).parent / "data"

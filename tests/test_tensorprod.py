@@ -51,7 +51,6 @@ from vqcat.tensorprod import (
     vsup_category,
 )
 from vqcat.vcat import (
-    is_separated,
     opposite,
     quantale_as_vcategory,
     tensor_vcat,
@@ -62,6 +61,7 @@ from categories import (
     ORACLE_CATEGORIES,
     dual_with_witness,
     heyting,
+    is_separated,
     lukasiewicz,
     oracle_category,
     poset,

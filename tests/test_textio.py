@@ -63,6 +63,14 @@ def test_presheaves_constructor_caps():
         parse_text(text, node_cap=2)
 
 
+def test_tensor_constructor_caps():
+    # B has 9 objects, so 81 hom entries: refused before they are built
+    text = "quantale two builtin two\nvcategory A = discrete two a b c\nvcategory B = tensor A A\n"
+    assert len(parse_text(text, node_cap=81).vcats["B"]) == 9
+    with pytest.raises(SizeExceeded, match="vcategory B would have 9 x 9 hom entries"):
+        parse_text(text, node_cap=80)
+
+
 def test_distributor_block():
     text = CHAIN2 + """
 distributor phi : C2 -> C2

@@ -8,15 +8,15 @@ from vqcat.errors import QuantaleMismatch, ReflexivityFail, TransitivityFail, VC
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.vcat import (
     discrete,
-    is_separated,
     opposite,
     quantale_as_vcategory,
-    separated_reflection,
     separation_witness,
     tensor_vcat,
     underlying_order,
     validate_vcategory,
 )
+
+from categories import is_separated
 
 
 def test_quantale_as_vcategory_valid():
@@ -110,9 +110,7 @@ def test_opposite_preserves_separation():
 def test_indiscrete_not_separated(two):
     x = validate_vcategory(two, ("p", "q"), ((1, 1), (1, 1)))
     assert not is_separated(x)
-    quotient, cls = separated_reflection(x)
-    assert len(quotient) == 1
-    assert cls == (0, 0)
+    assert separation_witness(x) == (0, 1)
 
 
 def test_tensor_sizes_and_names(chain2, v_two):
@@ -130,15 +128,3 @@ def test_r422_square_not_separated(r422):
     ae = vv.objects.index("(a,e)")
     ea = vv.objects.index("(e,a)")
     assert order[ae][ea] and order[ea][ae]
-    quotient, cls = separated_reflection(vv)
-    assert cls[ae] == cls[ea]
-    assert is_separated(quotient)
-
-
-def test_separated_reflection_idempotent(r422):
-    v = quantale_as_vcategory(r422)
-    vv = tensor_vcat(v, v)
-    quotient, _ = separated_reflection(vv)
-    again, cls = separated_reflection(quotient)
-    assert again == quotient
-    assert cls == tuple(range(len(quotient)))
