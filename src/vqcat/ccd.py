@@ -69,8 +69,13 @@ def totally_below(wa: CocompleteWitness) -> TotallyBelowWitness:
 
 
 def is_ccd(x: VCategory, wa: CocompleteWitness | None = None) -> bool:
+    """Whether x is completely distributive (`totally_below`).  `wa`, a
+    witness from `check_cocomplete(x)`, saves that check; one for another
+    category raises ValueError.  It stays: the benchmark's workloads pass it."""
     if wa is None:
         wa = check_cocomplete(x)
+    elif wa.base != x:
+        raise ValueError("is_ccd: the witness is for another category")
     try:
         totally_below(wa)
     except NotCCD:
@@ -92,11 +97,7 @@ def ccd_reflector(ta: TotallyBelowWitness, tb: TotallyBelowWitness, values):
     )
 
 
-def is_nuclear(
-    x: VCategory,
-    wa: CocompleteWitness | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> bool:
+def is_nuclear(x: VCategory, *, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """A is nuclear iff F : A (x) A* -> [A, A], the extension of the pairing
     bimorphism (a, h) |-> (z |-> h(z) (x) a), is an isomorphism onto the
     endo sup-maps.
@@ -107,15 +108,10 @@ def is_nuclear(
     sup-map between separated cocomplete categories, so a bijective F is an
     isomorphism: v (x) F u <= F w gives F((v (x) u) v w) = F w, hence
     (v (x) u) v w = w, that is v (x) u <= w.  So A is nuclear iff
-    f |-> F zeta_f hits every endo sup-map exactly once.
-
-    `wa` only vouches that x is separated cocomplete: without it x is checked
-    under `node_cap`, and a witness for another category raises ValueError.
+    f |-> F zeta_f hits every endo sup-map exactly once.  x is first checked
+    separated cocomplete.
     """
-    if wa is None:
-        check_cocomplete(x, node_cap=node_cap)
-    elif wa.base != x:
-        raise ValueError("is_nuclear: the witness is for another category")
+    check_cocomplete(x, node_cap=node_cap)
     objs, colimit = range(len(x)), x.kernel.colimit
     dual, funs = vsup_category(x, quantale_as_vcategory(x.quantale), node_cap)
     endos = [f.mapping for f in enumerate_cocontinuous(x, x, node_cap)]
@@ -143,28 +139,18 @@ def check_main_theorem(
     wa: CocompleteWitness | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> TheoremReport:
-    """Run the two decision procedures independently and compare verdicts."""
-    if wa is None:
-        wa = check_cocomplete(x, node_cap=node_cap)
-    return TheoremReport(ccd=is_ccd(x, wa), nuclear=is_nuclear(x, wa, node_cap))
+    """Run the two decision procedures independently and compare verdicts;
+    `wa` goes to `is_ccd` only (it stays: the benchmark's workloads pass it)."""
+    return TheoremReport(ccd=is_ccd(x, wa), nuclear=is_nuclear(x, node_cap=node_cap))
 
 
-def ccd_closure_check(
-    a: VCategory,
-    b: VCategory,
-    wa: CocompleteWitness | None = None,
-    wb: CocompleteWitness | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> bool:
+def ccd_closure_check(a: VCategory, b: VCategory, *, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """Tensors of completely distributive categories stay completely
-    distributive, and the reflector q acquires its own left adjoint."""
-    if wa is None:
-        wa = check_cocomplete(a, node_cap=node_cap)
-    if wb is None:
-        wb = check_cocomplete(b, node_cap=node_cap)
-    if not (is_ccd(a, wa) and is_ccd(b, wb)):
+    distributive, and the reflector q acquires its own left adjoint.  Factors
+    that are not separated cocomplete, or not ccd, raise NotCocompleteInput."""
+    t = build_tensor_product(a, b, node_cap=node_cap)
+    if not (is_ccd(a, t.wa) and is_ccd(b, t.wb)):
         raise NotCocompleteInput("closure check expects completely distributive factors")
-    t = build_tensor_product(a, b, wa, wb, node_cap=node_cap)
     # the carrier is separated cocomplete by construction, so it is not checked
     if not is_ccd(t.carrier, CocompleteWitness(t.carrier, node_cap)):
         return False

@@ -32,7 +32,7 @@ from .errors import (
     SizeExceeded,
     VqError,
 )
-from .presheaf import cauchy_completion, enumerate_presheaves, vector_name
+from .presheaf import DEFAULT_NODE_CAP, cauchy_completion, enumerate_presheaves, vector_name
 from .quantale import BUILTIN_NAMES, builtin
 from .tensorprod import build_tensor_product, check_universal_property, galois_iso
 from .textio import (
@@ -45,7 +45,7 @@ from .textio import (
 )
 from .vcat import opposite, separation_witness, tensor_vcat, underlying_order
 
-DEFAULT_CAPS = (8, 8, 2_000_000)  # |V|, |objects|, search nodes
+DEFAULT_CAPS = (8, 8, DEFAULT_NODE_CAP)  # |V|, |objects|, search nodes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,6 +165,14 @@ def _load(files, caps) -> Workspace:
     return ws
 
 
+def _load_vcats(files, caps) -> Workspace:
+    """`_load`; a workspace that defines no vcategory is bad input."""
+    ws = _load(files, caps)
+    if not ws.vcats:
+        raise VqError(f"{' '.join(files)} defines no vcategory")
+    return ws
+
+
 def _check_obj_cap(ws: Workspace, caps):
     """Guard for enumeration-heavy commands; cheap structural commands skip it."""
     cap_obj = caps[1]
@@ -219,7 +227,7 @@ def _cmd_quantale(args, caps) -> int:
 
 
 def _cmd_vcat(args, caps) -> int:
-    ws = _load(args.files if hasattr(args, "files") else [], caps)
+    ws = _load_vcats(args.files, caps)
     if args.action == "tensor":
         t = tensor_vcat(
             _named(ws.vcats, "vcategory", args.left), _named(ws.vcats, "vcategory", args.right)
@@ -256,7 +264,7 @@ def _cmd_vcat(args, caps) -> int:
 
 
 def _cmd_presheaves(args, caps) -> int:
-    ws = _load(args.files, caps)
+    ws = _load_vcats(args.files, caps)
     _check_obj_cap(ws, caps)
     for name, x in ws.vcats.items():
         dx = enumerate_presheaves(x, caps[2])
@@ -268,7 +276,7 @@ def _cmd_presheaves(args, caps) -> int:
 
 
 def _cmd_cauchy(args, caps) -> int:
-    ws = _load(args.files, caps)
+    ws = _load_vcats(args.files, caps)
     _check_obj_cap(ws, caps)
     for name, x in ws.vcats.items():
         dx = enumerate_presheaves(x, caps[2])
@@ -280,9 +288,7 @@ def _cmd_cauchy(args, caps) -> int:
 
 
 def _cmd_check(args, caps) -> int:
-    ws = _load(args.files, caps)
-    if not ws.vcats:
-        raise VqError(f"{' '.join(args.files)} defines no vcategory")
+    ws = _load_vcats(args.files, caps)
     _check_obj_cap(ws, caps)
     code = 0
     for name, x in ws.vcats.items():
@@ -302,7 +308,7 @@ def _cmd_check(args, caps) -> int:
                 print(f"vcategory {name}: not ccd, no totally-below presheaf for {exc.obj}")
                 code = max(code, 2)
         elif args.action == "nuclear":
-            verdict = is_nuclear(x, wa, node_cap=caps[2])
+            verdict = is_nuclear(x, node_cap=caps[2])
             print(f"vcategory {name}: " + ("nuclear" if verdict else "not nuclear"))
             if not verdict:
                 code = max(code, 2)
@@ -318,20 +324,13 @@ def _cmd_check(args, caps) -> int:
     return code
 
 
-def _last_vcat(ws: Workspace, path: str):
-    """The last vcategory defined in a file: its headline object."""
-    if not ws.vcats:
-        raise VqError(f"{path} defines no vcategory")
-    name = next(reversed(ws.vcats))
-    return name, ws.vcats[name]
-
-
 def _cmd_tensor(args, caps) -> int:
     files = [f for f in (args.file_a, args.file_b, args.file_c) if f]
-    spaces = [_load([f], caps) for f in files]
+    spaces = [_load_vcats([f], caps) for f in files]
     for ws in spaces:
         _check_obj_cap(ws, caps)
-    (na, a), (nb, b), *rest = [_last_vcat(ws, f) for ws, f in zip(spaces, files)]
+    # the last vcategory of each file is its headline object
+    (na, a), (nb, b), *rest = [next(reversed(ws.vcats.items())) for ws in spaces]
     t = build_tensor_product(a, b, node_cap=caps[2])
     print(f"tensor {na} (x) {nb}: carrier has {len(t.carrier)} ideal presheaves")
     if args.list_all:
@@ -344,7 +343,7 @@ def _cmd_tensor(args, caps) -> int:
         print(f"universal property against {nc}: " + ("holds" if verdict else "FAILS"))
         code = max(code, 0 if verdict else 2)
     if args.galois:
-        verdict = galois_iso(a, b, t.wa, t.wb, node_cap=caps[2])
+        verdict = galois_iso(a, b, node_cap=caps[2])
         print("galois correspondence: " + ("holds" if verdict else "FAILS"))
         code = max(code, 0 if verdict else 2)
     return code

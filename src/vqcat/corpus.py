@@ -183,9 +183,8 @@ _PAIR_CASES = (
 def _reflectors(fname, vname):
     def run():
         x = load(fname).vcats[vname]
-        wa = check_cocomplete(x)
-        ta = totally_below(wa)
-        t = build_tensor_product(x, x, wa, wa)
+        t = build_tensor_product(x, x)
+        ta = totally_below(t.wa)
         agree = all(
             ccd_reflector(ta, ta, xi) == reflector_q(t, xi) for xi in t.dab.vectors
         )

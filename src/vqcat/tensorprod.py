@@ -43,10 +43,10 @@ from .cocomplete import (
     check_cocomplete,
     dense_generators,
     is_cocontinuous,
-    weighted_colimit,
 )
-from .dist import Distributor, VFunctor, functor_hom_matrix
+from .dist import VFunctor, functor_hom_matrix
 from .errors import (
+    NoSuchColimit,
     NotCocomplete,
     NotCocompleteInput,
     NotSeparated,
@@ -56,6 +56,7 @@ from .errors import (
 from .presheaf import (
     DEFAULT_NODE_CAP,
     PresheafCategory,
+    apply_D,
     enumerate_presheaves,
     full_subcategory,
     presheaf_subcategory,
@@ -279,22 +280,17 @@ def _galois_images(a: VCategory, b: VCategory, node_cap: int):
 
 
 def build_tensor_product(
-    a: VCategory,
-    b: VCategory,
-    wa: CocompleteWitness | None = None,
-    wb: CocompleteWitness | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
+    a: VCategory, b: VCategory, *, node_cap: int = DEFAULT_NODE_CAP
 ) -> TensorProduct:
     """Construct the tensor of two separated cocomplete categories.
 
     The ideals are the images xi(x,y) = B(y, f x) of the sup-preserving maps
     f : A -> B^op (the Galois correspondence), in lexicographic vector order.
-    D(A (x) B) is not enumerated here; see `TensorProduct`.
+    D(A (x) B) is not enumerated here; see `TensorProduct`.  A factor that
+    is not separated cocomplete raises NotCocompleteInput.
     """
-    if wa is None:
-        wa = _witness_for(a, "left factor", node_cap)
-    if wb is None:
-        wb = _witness_for(b, "right factor", node_cap)
+    wa = _witness_for(a, "left factor", node_cap)
+    wb = _witness_for(b, "right factor", node_cap)
     ab = tensor_vcat(a, b)
     ideal_vectors = tuple(sorted(_galois_images(a, b, node_cap)))
     if len(ideal_vectors) ** 2 > node_cap * len(a):  # before the k x k carrier
@@ -340,11 +336,18 @@ def enumerate_bimorphisms(
 def extend_bimorphism(t: TensorProduct, g: VFunctor) -> VFunctor:
     """The sup-preserving map on the carrier restricting to g along i.
 
-    f(xi) = sup_C g_* xi: the colimit of g weighted by the ideals, read as a
-    distributor carrier -|-> A (x) B.
+    f(xi) = sup_C g_* xi: the colimit of g weighted by the ideal xi, one
+    kernel colimit per ideal; NoSuchColimit if one does not exist.
     """
-    weight = Distributor(t.carrier, t.ab, tuple(zip(*t.ideal_vectors)))
-    return weighted_colimit(weight, g)
+    colimit = g.cod.kernel.colimit
+    mapping = tuple(colimit(g.mapping, xi) for xi in t.ideal_vectors)
+    if None in mapping:
+        k = mapping.index(None)
+        raise NoSuchColimit(
+            "weighted colimit does not exist",
+            weight={"kind": "weighted", "x": k, "theta": apply_D(g, t.ideal_vectors[k])},
+        )
+    return VFunctor(t.carrier, g.cod, mapping)
 
 
 def check_universal_property(
@@ -385,13 +388,7 @@ def check_universal_property(
     )
 
 
-def galois_iso(
-    a: VCategory,
-    b: VCategory,
-    wa: CocompleteWitness | None = None,
-    wb: CocompleteWitness | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> bool:
+def galois_iso(a: VCategory, b: VCategory, *, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """The carrier is the opposite of the sup-map category into B-opposite.
 
     The ideals come from the ideal equation alone (`ideals_by_columns`), not
@@ -400,12 +397,11 @@ def galois_iso(
     is Yoneda, B being separated.  The row xi_f(a, -) = B(-, f a) has
     colimit f a, so f |-> xi_f is injective with inverse f(a) = colim_B
     xi(a, -), and carrier(xi_f, xi_g) = meet_(a,b) [B(b, f a), B(b, g a)] =
-    meet_a B(f a, g a) = [A, B^op](g, f) for any two maps.
+    meet_a B(f a, g a) = [A, B^op](g, f) for any two maps.  A (x) A checks
+    A once and builds D(A) and its column table once.
     """
-    if wa is None:
-        wa = _witness_for(a, "left factor", node_cap)
-    if wb is None:
-        wb = _witness_for(b, "right factor", node_cap)
+    wa = _witness_for(a, "left factor", node_cap)
+    wb = wa if b == a else _witness_for(b, "right factor", node_cap)
     return set(_galois_images(a, b, node_cap)) == set(ideals_by_columns(wa, wb, node_cap))
 
 

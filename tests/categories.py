@@ -2,7 +2,7 @@
 the chains, M3, the pentagon N5, and H2; the Lukasiewicz and Heyting
 chain quantales; the hypothesis strategies `random_categories` and
 `random_sup_lattices`; and the test-only helpers `try_cocomplete`,
-`cocomplete_by_sup_table`, `left_adjoints`, `dual_with_witness`,
+`cocomplete_by_sup_table`, `left_adjoints`, `dual_category`,
 `nuclear_by_carrier`, `unit_and_injectivity`, `search_by_placement`,
 `is_presheaf_vector` and `hom_ij`; and the small constructions the
 library does not need: `validate_functor`, `identity_functor`, `graph`,
@@ -212,26 +212,23 @@ def left_adjoints(dx, labels, hom):
     return tuple(map(dx.index.__getitem__, hom_matrix(q, hom, zip(*meets))))
 
 
-def dual_with_witness(a, node_cap=DEFAULT_NODE_CAP):
+def dual_category(a, node_cap=DEFAULT_NODE_CAP):
     """A* = the sup-maps of the separated cocomplete a into V, as
-    (A*, the sup-maps, the cocompleteness witness of A*)."""
-    dual, funs = vsup_category(a, quantale_as_vcategory(a.quantale), node_cap)
-    return dual, funs, check_cocomplete(dual, node_cap=node_cap)
+    (A*, the sup-maps)."""
+    return vsup_category(a, quantale_as_vcategory(a.quantale), node_cap)
 
 
-def nuclear_by_carrier(x, wa=None, node_cap=DEFAULT_NODE_CAP):
+def nuclear_by_carrier(x, node_cap=DEFAULT_NODE_CAP):
     """Nuclearity through the carrier, the oracle for `ccd.is_nuclear`.
 
     Builds T = A (x) A*, the endo category H = [A, A] and the extension of
     the bimorphism (a, h) |-> (z |-> h(z) (x) a); nuclear iff that extension
     is an isomorphism of the carrier onto H, compared hom row by hom row.
     """
-    if wa is None:
-        wa = check_cocomplete(x, node_cap=node_cap)
-    dual, funs, wdual = dual_with_witness(x, node_cap)
+    dual, funs = dual_category(x, node_cap)
     h_cat, h_funs = vsup_category(x, x, node_cap)
     h_index = {f.mapping: k for k, f in enumerate(h_funs)}
-    t = build_tensor_product(x, dual, wa, wdual, node_cap=node_cap)
+    t = build_tensor_product(x, dual, node_cap=node_cap)
     if len(t.carrier) != len(h_cat):
         return False
 

@@ -20,7 +20,7 @@ from vqcat.ccd import (
     is_ccd,
     totally_below,
 )
-from vqcat.cocomplete import check_cocomplete, tensor_obj
+from vqcat.cocomplete import tensor_obj
 from vqcat.dist import (
     VFunctor,
     is_adjoint_functors,
@@ -344,9 +344,8 @@ def _reflector_pairs():
 def test_criterion_10_reflector_agreement(announce):
     ok = True
     for x in _reflector_pairs():
-        w = check_cocomplete(x)
-        ta = totally_below(w)
-        t = build_tensor_product(x, x, w, w)
+        t = build_tensor_product(x, x)
+        ta = totally_below(t.wa)
         for xi in t.dab.vectors:
             ok = ok and ccd_reflector(ta, ta, xi) == reflector_q(t, xi)
     announce(10, ok)

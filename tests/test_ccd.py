@@ -18,7 +18,7 @@ from vqcat.ccd import (
 )
 from vqcat.cocomplete import check_cocomplete, is_cocontinuous
 from vqcat.dist import functor_hom
-from vqcat.errors import NotCCD, NotCocomplete, NotSeparated, SizeExceeded
+from vqcat.errors import NotCCD, NotCocomplete, NotCocompleteInput, NotSeparated, SizeExceeded
 from vqcat.presheaf import (
     D_on_functor,
     PresheafCategory,
@@ -48,7 +48,7 @@ from categories import (
     NOT_CCD,
     ORACLE_CATEGORIES,
     diamond_m3,
-    dual_with_witness,
+    dual_category,
     identity_functor,
     left_adjoints,
     nuclear_by_carrier,
@@ -101,13 +101,13 @@ def test_m3_not_ccd(two):
 def test_ccd_reflector_agrees_with_meet_of_majorants(chain2):
     w = check_cocomplete(chain2)
     ta = totally_below(w)
-    t = build_tensor_product(chain2, chain2, w, w)
+    t = build_tensor_product(chain2, chain2)
     for xi in t.dab.vectors:
         assert ccd_reflector(ta, ta, xi) == reflector_q(t, xi)
 
 
 def test_dual_of_v_is_v(v_two, two):
-    cat, funs, _ = dual_with_witness(v_two)
+    cat, funs = dual_category(v_two)
     assert len(cat) == 2
     # evaluation at the unit is an isomorphism with V
     evals = sorted(f.mapping[two.unit] for f in funs)
@@ -117,7 +117,7 @@ def test_dual_of_v_is_v(v_two, two):
 def test_dual_of_free_is_free_on_opposite(chain2):
     dx = enumerate_presheaves(chain2)
     free = dx.cat
-    cat, _, _ = dual_with_witness(free)
+    cat, _ = dual_category(free)
     dop = enumerate_presheaves(opposite(chain2)).cat
     assert len(cat) == len(dop)
     # both are the free cocompletion of a 2-chain; compare hom multisets
@@ -125,7 +125,7 @@ def test_dual_of_free_is_free_on_opposite(chain2):
 
 
 def test_dual_of_terminal(one_top):
-    cat, _, _ = dual_with_witness(one_top)
+    cat, _ = dual_category(one_top)
     assert len(cat) == 1
 
 
@@ -142,17 +142,26 @@ def test_nuclear_verdicts(two, chain2):
     assert not is_nuclear(diamond_m3(two))
 
 
-def test_nuclear_refuses_a_witness_for_another_category(chain2):
-    # a witness only vouches for its own base; chain3's must not skip the
-    # check on M3 (which is cocomplete, so the check alone would pass)
+def test_is_ccd_refuses_a_witness_for_another_category(chain2):
+    # a witness only vouches for its own base: chain2's, which is ccd, must
+    # not answer for M3, which is not
     chain3, m3 = oracle_category("chain3"), oracle_category("M3")
-    with pytest.raises(ValueError, match="witness is for another category"):
-        is_nuclear(m3, check_cocomplete(chain3))
+    with pytest.raises(ValueError, match="is_ccd: the witness is for another category"):
+        is_ccd(m3, check_cocomplete(chain2))
+    assert not is_ccd(m3, check_cocomplete(m3))
     with pytest.raises(ValueError, match="witness is for another category"):
         check_main_theorem(chain2, check_cocomplete(chain3))
     # the base is compared as a V-category: renamed objects keep the witness
     renamed = validate_vcategory(chain3.quantale, ("p", "q", "r"), chain3.hom)
-    assert is_nuclear(renamed, check_cocomplete(chain3))
+    assert is_ccd(renamed, check_cocomplete(chain3))
+
+
+def test_ccd_closure_check_names_a_factor_that_is_not_cocomplete():
+    # the sugihara3 square lacks tensors by the top scalar: bad input named
+    # by its factor, as `build_tensor_product` says, not a bare NotCocomplete
+    vv = parse_files([str(DATA / "vtimesv_sugihara3.vcat")]).vcats["VV"]
+    with pytest.raises(NotCocompleteInput, match="left factor is not separated cocomplete"):
+        ccd_closure_check(vv, vv)
 
 
 def test_count_guard_message_names_only_the_count():
@@ -181,8 +190,7 @@ def test_nuclear_matches_the_carrier_oracle(name):
     # bimorphism, and both against complete distributivity; F is fully
     # faithful exactly when it is injective
     x = oracle_category(name)
-    w = check_cocomplete(x)
-    assert is_nuclear(x, w) == nuclear_by_carrier(x, w) == is_ccd(x, w) == (name not in NOT_CCD)
+    assert is_nuclear(x) == nuclear_by_carrier(x) == is_ccd(x) == (name not in NOT_CCD)
     unit, injective = unit_and_injectivity(x)
     assert unit == injective
 
@@ -193,8 +201,7 @@ def test_nuclear_matches_the_carrier_oracle(name):
 @given(random_sup_lattices([builtin(n) for n in BUILTIN_NAMES]))
 def test_nuclear_matches_the_carrier_oracle_on_random_sup_lattices(x):
     # separated and cocomplete by construction, and often not ccd
-    w = check_cocomplete(x)
-    assert is_nuclear(x, w) == nuclear_by_carrier(x, w) == is_ccd(x, w)
+    assert is_nuclear(x) == nuclear_by_carrier(x) == is_ccd(x)
     unit, injective = unit_and_injectivity(x)
     assert unit == injective
 
@@ -490,12 +497,11 @@ def test_hom_matrices_make_no_scalar_hom_call(monkeypatch, name):
     # and nuclearity comparisons all read their hom matrices off the kernel
     x = oracle_category(name)
     calls = count_scalar_hom_calls(monkeypatch)
-    w = check_cocomplete(x)
-    t = build_tensor_product(x, x, w, w)
+    t = build_tensor_product(x, x)
     vsup_category(x, x)
     assert check_universal_property(x, x, x, t=t)
-    assert galois_iso(x, x, w, w)
-    assert is_nuclear(x, w) == (name not in NOT_CCD)
+    assert galois_iso(x, x)
+    assert is_nuclear(x) == (name not in NOT_CCD)
     assert calls == []
 
 

@@ -389,6 +389,26 @@ def test_check_file_without_vcategory_is_bad_input(tmp_path, capsys, action):
     assert out == "" and err == f"error: {bare} defines no vcategory\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["presheaves"],
+        ["cauchy"],
+        ["vcat", "validate"],
+        ["vcat", "order"],
+        ["vcat", "separated"],
+        ["vcat", "op"],
+    ],
+    ids=" ".join,
+)
+def test_file_without_vcategory_is_bad_input(tmp_path, capsys, command):
+    bare = tmp_path / "bare.vcat"
+    bare.write_text("quantale two builtin two\n", encoding="utf-8")
+    assert main([*command, str(bare)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {bare} defines no vcategory\n"
+
+
 def test_tensor_constructor_obeys_node_cap(tmp_path, capsys, monkeypatch):
     # C has 1,296 objects; D = C (x) C, with 1,679,616, is refused at the
     # default caps before its hom matrix is built

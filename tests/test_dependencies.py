@@ -22,8 +22,8 @@ And one function builds a k x k functor hom matrix, `vsup_category`:
 Yoneda and density prove their hom comparisons.  And it holds only reached
 code: every public top-level function is read by another part of the
 library, or is named by the benchmark (the tracer's targets and the
-workloads' `vq.<name>` reads) or is monad data that the acceptance tests
-read."""
+workloads' `vq.<name>` reads) or is monad data or `weighted_colimit`,
+which the acceptance tests read."""
 
 import ast
 import sys
@@ -398,6 +398,9 @@ def test_tensorprod_imports_no_hom_matrix():
 
 
 MONAD_DATA = {"yoneda", "D_on_functor", "D_inv", "D_all", "mu", "d0", "d2", "inverter"}
+# the weighted colimit of a distributor, which acceptance criterion 5 reads
+# and which the library computes one kernel colimit at a time instead
+WEIGHTED_COLIMIT = {"weighted_colimit"}
 
 
 def workload_names():
@@ -429,7 +432,9 @@ def unreached_functions(trees, keep):
 
 
 def test_every_public_function_is_reached():
-    keep = {t.name for t in load_tracing().TARGETS} | workload_names() | MONAD_DATA
+    keep = (
+        {t.name for t in load_tracing().TARGETS} | workload_names() | MONAD_DATA | WEIGHTED_COLIMIT
+    )
     assert list(unreached_functions(LIBRARY, keep)) == []
 
 

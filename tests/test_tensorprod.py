@@ -59,7 +59,7 @@ from vqcat.vcat import (
 
 from categories import (
     ORACLE_CATEGORIES,
-    dual_with_witness,
+    dual_category,
     heyting,
     is_separated,
     lukasiewicz,
@@ -156,11 +156,9 @@ def test_g_ideal_matches_naive_oracle(chain2, t_chain2):
 
 
 def _tensor(factors, name, partner):
-    """A (x) A or A (x) A*, both factors with their witnesses."""
+    """A (x) A or A (x) A*."""
     x = factors[name]
-    wx = check_cocomplete(x)
-    y, wy = (x, wx) if partner == "self" else dual_with_witness(x)[::2]
-    return build_tensor_product(x, y, wx, wy)
+    return build_tensor_product(x, x if partner == "self" else dual_category(x)[0])
 
 
 @pytest.mark.parametrize("partner", ["self", "dual"])
@@ -203,9 +201,8 @@ def test_g_ideal_matches_naive_oracle_on_random_categories(a):
 def _oracle_pair(name, partner):
     """An ORACLE_CATEGORIES entry with itself or with its dual, witnessed."""
     x = oracle_category(name)
-    wx = check_cocomplete(x)
-    y, wy = (x, wx) if partner == "self" else dual_with_witness(x)[::2]
-    return x, wx, y, wy
+    y = x if partner == "self" else dual_category(x)[0]
+    return x, check_cocomplete(x), y, check_cocomplete(y)
 
 
 @pytest.mark.parametrize("partner", ["self", "dual"])
@@ -216,7 +213,7 @@ def test_ideals_by_columns_match_galois_carrier(name, partner):
     x, wx, y, wy = _oracle_pair(name, partner)
     ideals = ideals_by_columns(wx, wy)
     assert list(ideals) == sorted(ideals)
-    assert ideals == build_tensor_product(x, y, wx, wy).ideal_vectors
+    assert ideals == build_tensor_product(x, y).ideal_vectors
 
 
 @pytest.mark.parametrize("partner", ["self", "dual"])
@@ -263,12 +260,13 @@ def test_ideal_node_count_is_pinned(m3):
 
 
 def test_galois_enumerates_no_tensor_presheaves(m3, enumerated):
-    # the ideals come from the column search, never from D(A (x) B)
-    w = check_cocomplete(m3)
-    assert galois_iso(m3, m3, w, w)
-    assert enumerated == [m3]
+    # the ideals come from the column search, never from D(A (x) B); A (x) A
+    # enumerates D(A) once, A (x) B both factors
     assert galois_iso(m3, m3)
-    assert enumerated == [m3, m3, m3]
+    assert enumerated == [m3]
+    n5 = oracle_category("N5")
+    assert galois_iso(m3, n5)
+    assert enumerated == [m3, m3, n5]
 
 
 def _bool3():
@@ -364,9 +362,8 @@ def test_benchmark_tensors_have_only_ideals(name, partner):
     # (x) chain5* on, so the check is the production one by tensors and
     # binary joins, without the D(carrier) that `check_cocomplete` lists.
     x = BENCHMARK_FACTORS[name]()
-    wx = check_cocomplete(x)
-    y, wy = (x, wx) if partner == "self" else dual_with_witness(x)[::2]
-    t = build_tensor_product(x, y, wx, wy)
+    y = x if partner == "self" else dual_category(x)[0]
+    t = build_tensor_product(x, y)
     assert all(is_g_ideal(t.wa, t.wb, xi) for xi in t.ideal_vectors)
     assert is_separated(t.carrier) and has_tensors_and_joins(t.carrier)
 
@@ -386,8 +383,7 @@ def enumerated(monkeypatch):
 
 
 def test_build_enumerates_no_presheaves(m3, enumerated):
-    w = check_cocomplete(m3)
-    t = build_tensor_product(m3, m3, w, w, node_cap=10_000)
+    t = build_tensor_product(m3, m3, node_cap=10_000)
     assert len(t.carrier) == 50
     assert is_bimorphism(t.i, m3, m3)
     assert enumerated == []
@@ -452,7 +448,8 @@ def test_g_ideal_failure_reports_pair(factors):
 
 def test_galois_builds_each_column_table_once(m3, monkeypatch):
     # galois_iso searches the ideals with the factors' column tables, each
-    # one hom matrix of D(A), and never materializes a presheaf category
+    # one hom matrix of D(A), and never materializes a presheaf category;
+    # A (x) A builds its one table once, A (x) B one per factor
     tables, reads = [], []
 
     def counting(q, us, ws):
@@ -466,12 +463,10 @@ def test_galois_builds_each_column_table_once(m3, monkeypatch):
     monkeypatch.setattr(cocomplete, "hom_matrix", counting)
     monkeypatch.setattr(PresheafCategory, "cat", property(cat))
     assert galois_iso(m3, m3)
-    assert len(tables) == 2 and tables[0] is not tables[1]
-    w = check_cocomplete(m3)
+    assert len(tables) == 1
     tables.clear()
-    assert galois_iso(m3, m3, w, w)
-    assert galois_iso(m3, m3, w, w)
-    assert tables == [w.dx.vectors]
+    assert galois_iso(m3, oracle_category("N5"))
+    assert len(tables) == 2 and tables[0] is not tables[1]
     assert reads == []
 
 
