@@ -38,7 +38,6 @@ from .tensorprod import build_tensor_product, check_universal_property, galois_i
 from .textio import (
     Workspace,
     parse_files,
-    parse_text,
     show_distributor,
     show_quantale,
     show_vcategory,

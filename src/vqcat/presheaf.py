@@ -2,14 +2,16 @@
 
 A presheaf is a V-functor X^op -> V: a vector over the base objects with
 X(x,x') * phi(x') <= phi(x).  `enumerate_presheaves` finds them with
-`vfunctor_rows`, the one backtracking search, which also enumerates the
-V-functors between any two categories (`search_vfunctors` unpacks and sorts
-its mappings).  It searches each distinct tail of candidate masks once and
-shares its completions, kept as one column of bytes per depth, and returns
-one buffer with a row of bytes per mapping.  D(X) keeps those rows, sorted
-as bytes, and decodes its vectors only when they are read.  The guard
-counts the nodes of the unshared search, not the naive |V|^m candidate
-space, which pruning makes meaningless.
+`search_tails`, the one backtracking search, which also enumerates the
+V-functors between any two categories.  It searches each distinct tail of
+candidate masks once and returns the graph of those tails, each with its
+completion count.  `render_rows`, the only place that builds rows, turns
+the graph into one buffer with a row of bytes per mapping, and
+`search_vfunctors` unpacks and sorts them.  D(X) answers `len` from the
+graph, and renders its rows, sorted as bytes, and decodes its vectors
+only when they are read.  The guard counts the nodes of the unshared
+search, not the naive |V|^m candidate space, which pruning makes
+meaningless.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .dist import Distributor, VFunctor, identity_dist
 from .errors import QuantaleMismatch, SizeExceeded
@@ -34,23 +37,39 @@ class Presheaf:
 
 
 class PresheafCategory:
-    """D(X) together with its presheaf vectors, kept as sorted byte rows.
+    """D(X) together with its presheaf vectors: the graph of their search,
+    then sorted byte rows.
 
     Objects are ordered lexicographically by value-index vector, so indices
-    are reproducible across runs.  `rows` holds one `bytes` row of `fmt`
-    cells per presheaf (`vfunctor_rows`), sorted; `len` reads only them.
-    `vectors` (the value tuples) and `index` (a vector back to its object
-    index) are built on first read.  The full hom matrix (`cat`) is built
+    are reproducible across runs.  It is made from the graph of the search
+    (`search_tails`), and `len` reads the root's count.  `rows`, one `bytes`
+    row of `fmt` cells per presheaf, sorted, is rendered from the graph on
+    first read (`render_rows`), and the graph is then dropped.  `vectors`
+    (the value tuples) and `index` (a vector back to its object index) are
+    built from `rows` on first read.  The full hom matrix (`cat`) is built
     on first use by the byte kernel (`kernel.hom_matrix`), a few big-int `&`
     per row and join-irreducible; no decision reads it.
     """
 
-    def __init__(self, base: VCategory, rows, fmt: str):
-        self.base, self.rows, self.fmt = base, rows, fmt
-        self._cat = None
+    def __init__(self, base: VCategory, tails: Tails):
+        self.base, self._tails, self._count = base, tails, tails.count
+        self.fmt = _cells(tails.n)[2]
+        self._rows = self._cat = None
 
     def __len__(self):
-        return len(self.rows)
+        return self._count
+
+    @property
+    def rows(self) -> list[bytes]:
+        if self._tails is not None:  # the graph, until its rows are rendered
+            buf, count, _ = render_rows(self._tails)
+            if buf:
+                self._rows = [row for (row,) in struct.iter_unpack(f"{len(buf) // count}s", buf)]
+                self._rows.sort()
+            else:  # no presheaf, or the one on an empty base
+                self._rows = [b""] * count
+            self._tails = None
+        return self._rows
 
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -103,39 +122,61 @@ def _unpack(buf, count: int, m: int, fmt: str) -> list:
     return list(struct.iter_unpack(f">{m}{fmt}", buf))
 
 
+class Tails(tuple):
+    """The graph of distinct tails that `search_tails` met: (root, count,
+    order, n).
+
+    A tail node is a list [count, nodes, images, children, parents,
+    columns]: the number of its completions, the nodes its unshared search
+    takes, the mask of the images placed with a completion, the child tail
+    of each of them in image order (None at the last depth), the number of
+    edges into it, and its columns once `render_rows` keeps them.  `root` is
+    the tail of depth 0, or None when there is no object to place; `count`
+    is the number of mappings, `order` the objects in placement order and
+    `n` the number of codomain objects.
+    """
+
+    __slots__ = ()
+    root = property(itemgetter(0))
+    count = property(itemgetter(1))
+    order = property(itemgetter(2))
+    n = property(itemgetter(3))
+
+
 def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
-    """All V-functors dom -> cod, as sorted mapping tuples: the rows of
-    `vfunctor_rows`, the one search, unpacked and sorted."""
-    buf, count, fmt = vfunctor_rows(dom, cod, node_cap, what)
+    """All V-functors dom -> cod, as sorted mapping tuples: the one search,
+    its rows rendered, unpacked and sorted."""
+    buf, count, fmt = render_rows(search_tails(dom, cod, node_cap, what))
     out = _unpack(buf, count, len(dom), fmt)
     out.sort()
     return out
 
 
-def vfunctor_rows(dom: VCategory, cod: VCategory, node_cap: int, what: str):
-    """All V-functors dom -> cod, as one buffer of rows in search order, the
-    row count and the cell format: the one search.
+def search_tails(dom: VCategory, cod: VCategory, node_cap: int, what: str) -> Tails:
+    """All V-functors dom -> cod, as the graph of the search's distinct
+    tails: the one search.
 
-    Each object's candidate images are an int bitmask, first the images c
-    with dom(t, t) <= cod(c, c).  Placing an image c2 at s narrows every
-    later object t's mask with one `&` against `fits[u, v][c2]`, the images c
-    with u <= cod(c, c2) and v <= cod(c2, c) for u = dom(t, s), v = dom(s, t);
-    a branch that empties a mask is cut.  Objects are placed most-constrained
-    first: descending number of objects below them in dom, ties by index.
+    Each object's candidate images are a bitmask, first the images c with
+    dom(t, t) <= cod(c, c).  Objects are placed most-constrained first:
+    descending number of objects below them in dom, ties by index.  Placing
+    an image c2 at s narrows every later object t's mask to the images c
+    with u <= cod(c, c2) and v <= cod(c2, c) for u = dom(t, s), v = dom(s,
+    t); a branch that empties a mask is cut.
 
     Once depth d is placed, the completions depend only on the tail, the
-    masks of depths d, d+1, ...  Each distinct tail is searched; from its
-    second search on (tails near the root, with the big completions, are
-    mostly met once) its completions are kept column by column, one `bytes`
-    per depth with one `_cells` cell each, and reused.  A parent joins its
-    children's columns.  A node is counted per placement of the unshared
-    search, a reused tail adding its nodes, so past `node_cap` SizeExceeded
-    says "<what> enumeration exceeded" exactly when the unshared search does.
+    masks of depths d, d+1, ...  A tail is one int: depth d+i sits in the
+    field of n+1 bits at i(n+1), its top bit a guard that is always set,
+    so the int also fixes the depth.  Placing c at depth d narrows the
+    whole tail with one `&` against an int per (d, c), built on first use,
+    and a narrowed field is empty iff its guard is lost in `(nxt - L) & G`,
+    where G and L are the guard and the lowest bit of the fields that depth
+    d narrows.  Only those fields are tested, so a mask that is empty from
+    the root is met at its own depth, as in the unshared search.
 
-    The root's columns are copied into one buffer, one strided slice
-    assignment per column and cell byte, so that each mapping is one row of
-    cells in object order.  Cells are big-endian and of one width, so
-    sorting the rows as bytes sorts the mappings as tuples.
+    Each distinct tail is searched once and becomes a node of `Tails`.  A
+    node is counted per placement of the unshared search, a tail met again
+    adding its nodes, so past `node_cap` SizeExceeded says "<what>
+    enumeration exceeded" exactly when the unshared search does.
 
     For presheaves (dom = X^op, cod = V) no mask is ever emptied: the join
     of X(t, s) * phi(s) over the placed s always fits t, because
@@ -149,11 +190,14 @@ def vfunctor_rows(dom: VCategory, cod: VCategory, node_cap: int, what: str):
         raise QuantaleMismatch(f"{what} search between V-categories over different quantales")
     m, n = len(dom), len(cod)
     if m == 0:
-        return b"", 1, "B"  # the one empty mapping
+        return Tails((None, 1, [], n))  # the one empty mapping
     q = dom.quantale
     leq, dh, ch = q.leq, dom.hom, cod.hom
-    order = sorted(range(m), key=lambda a: (-sum(leq[q.unit][dh[b][a]] for b in range(m)), a))
-    full = (1 << n) - 1
+    # the number of objects below each, in a stable sort: ties keep index order
+    below = [sum(map(leq[q.unit].__getitem__, col)) for col in zip(*dh)]
+    order = sorted(range(m), key=below.__getitem__, reverse=True)
+    full, w, last = (1 << n) - 1, n + 1, m - 1
+    guard = 1 << n
     fits = {}
 
     def fit(u, v):
@@ -164,81 +208,132 @@ def vfunctor_rows(dom: VCategory, cod: VCategory, node_cap: int, what: str):
             )
         return fits[u, v]
 
-    # narrow[d]: (index in the tail past d, fits row) for every later object
-    # constrained by depth d
-    narrow = [
-        [
-            (k - d - 1, tab)
-            for k in range(d + 1, m)
-            for tab in [fit(dh[order[k]][s], dh[s][order[k]])]
-            if tab.count(full) < n
-        ]
-        for d, s in enumerate(order)
-    ]
-    cells, w, fmt = _cells(n)
-    memo: dict = {}  # tail -> False once searched, then (nodes, columns)
+    # per depth: None if it narrows no later field, else (G, L, the fields it
+    # narrows as (shift in the tail past it, fits row), the cut per image)
+    spans = []
+    for d, s in enumerate(order[:last]):
+        g = low_bits = 0
+        narrowed = []
+        for k, t in enumerate(order[d + 1 :]):
+            tab = fit(dh[t][s], dh[s][t])
+            if tab.count(full) < n:
+                narrowed.append((k * w, tab))
+                g |= guard << k * w
+                low_bits |= 1 << k * w
+        spans.append((g, low_bits, narrowed, [None] * n) if narrowed else None)
+    memo: dict = {}  # tail -> its node
     nodes, exceeded = 0, f"{what} enumeration exceeded {node_cap} nodes"
 
-    def solve(d, masks):
-        """The columns of depths d, ... over the completions of `masks`, or ()."""
+    def solve(d, tail):
+        """The node of `tail`, at depth d."""
         nonlocal nodes
-        hit = memo.get(masks)
-        if hit:
-            nodes += hit[0]
+        node = memo.get(tail)
+        if node is not None:
+            nodes += node[1]
             if nodes > node_cap:
                 raise SizeExceeded(exceeded, estimate=node_cap)
-            return hit[1]
-        start, mask, rest = nodes, masks[0], masks[1:]
-        heads, tails = [], []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            c = low.bit_length() - 1
-            nodes += 1
-            if nodes > node_cap:
-                raise SizeExceeded(exceeded, estimate=node_cap)
-            if not rest:
-                heads.append(cells[c])
-                continue
-            nxt = list(rest)
-            for k, tab in narrow[d]:
-                nxt[k] &= tab[c]
-                if not nxt[k]:
-                    break
-            else:
-                sub = solve(d + 1, tuple(nxt))
-                if sub:
-                    heads.append(cells[c] * (len(sub[0]) // w))
-                    tails.append(sub)
-        cols = (b"".join(heads), *map(b"".join, zip(*tails))) if heads else ()
-        memo[masks] = False if hit is None else (nodes - start, cols)
-        return cols
+            return node
+        start, mask = nodes, tail & full
+        if d == last:
+            count, images, children = mask.bit_count(), mask, None
+            nodes += count
+        else:
+            rest, count, images, children, span = tail >> w, 0, 0, [], spans[d]
+            if span:
+                g, low_bits, narrowed, cuts = span
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                nodes += 1
+                if span:
+                    c = low.bit_length() - 1
+                    cut = cuts[c]
+                    if cut is None:
+                        cut = (1 << (last - d) * w) - 1
+                        for i, tab in narrowed:
+                            cut ^= (full ^ tab[c]) << i
+                        cuts[c] = cut
+                    nxt = rest & cut
+                    if (nxt - low_bits) & g != g:
+                        continue
+                else:
+                    nxt = rest
+                child = solve(d + 1, nxt)
+                if child[0]:
+                    child[4] += 1
+                    count += child[0]
+                    images |= low
+                    children.append(child)
+        if nodes > node_cap:
+            raise SizeExceeded(exceeded, estimate=node_cap)
+        node = memo[tail] = [count, nodes - start, images, children, 0, None]
+        return node
 
-    root = tuple(sum(1 << c for c in range(n) if leq[dh[t][t]][ch[c][c]]) for t in order)
+    root = 0
+    for i, t in enumerate(order):
+        mask = sum(1 << c for c in range(n) if leq[dh[t][t]][ch[c][c]])
+        root |= (mask | guard) << (i * w)
     try:
-        cols = solve(0, root)
+        top = solve(0, root)
     finally:
         memo.clear()
-    if not cols:
-        return b"", 0, fmt
-    buf = bytearray(len(cols[0]) * m)
-    for col, t in zip(cols, order):
+    return Tails((top, top[0], order, n))
+
+
+def render_rows(tails: Tails):
+    """The mappings of `tails` as one buffer of rows, each one row of cells
+    in object order, in search order; the row count and the cell format.
+    The only place that builds rows.
+
+    A tail's completions are built column by column, one `bytes` per depth
+    with one `_cells` cell each: its images, each repeated once per
+    completion of its child, then its children's columns joined.  A tail
+    with two or more parents keeps its columns for the next.  The root's
+    columns are copied into one buffer, one strided slice assignment per
+    column and cell byte.  Cells are big-endian and of one width, so
+    sorting the rows as bytes sorts the mappings as tuples.
+    """
+    root, count, order, n = tails
+    cells, w, fmt = _cells(n)
+    if root is None or not count:
+        return b"", count, fmt  # the one mapping of no objects, or none
+
+    def columns(node):
+        if node[5] is not None:
+            return node[5]
+        _, _, images, children, parents, _ = node
+        heads = []
+        if children is None:
+            while images:
+                low = images & -images
+                images ^= low
+                heads.append(cells[low.bit_length() - 1])
+            cols = (b"".join(heads),)
+        else:
+            subs = []
+            for child in children:
+                low = images & -images
+                images ^= low
+                heads.append(cells[low.bit_length() - 1] * child[0])
+                subs.append(columns(child))
+            cols = (b"".join(heads), *map(b"".join, zip(*subs)))
+        if parents > 1:
+            node[5] = cols
+        return cols
+
+    m = len(order)
+    buf = bytearray(count * m * w)
+    for col, t in zip(columns(root), order):
         for k in range(w):
             buf[t * w + k :: m * w] = col[k::w]
-    return buf, len(cols[0]) // w, fmt
+    return buf, count, fmt
 
 
 def enumerate_presheaves(x: VCategory, node_cap: int = DEFAULT_NODE_CAP) -> PresheafCategory:
-    """All presheaves on x: the V-functors x^op -> V, the rows of
-    `vfunctor_rows` sorted as bytes."""
+    """All presheaves on x: the V-functors x^op -> V, searched now; their
+    rows are rendered on first read."""
     v = quantale_as_vcategory(x.quantale)
-    buf, count, fmt = vfunctor_rows(opposite(x), v, node_cap, "presheaf")
-    if not buf:  # no presheaf, or the one on an empty x
-        rows = [b""] * count
-    else:
-        rows = [row for (row,) in struct.iter_unpack(f"{len(buf) // count}s", buf)]
-    rows.sort()
-    return PresheafCategory(x, rows, fmt)
+    return PresheafCategory(x, search_tails(opposite(x), v, node_cap, "presheaf"))
 
 
 def yoneda(x: VCategory, dx: PresheafCategory) -> VFunctor:

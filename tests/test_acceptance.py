@@ -31,7 +31,6 @@ from vqcat.errors import (
     NoSuchColimit,
     ReflexivityFail,
     TransitivityFail,
-    VCatError,
 )
 from vqcat.presheaf import (
     D_all,
@@ -67,7 +66,6 @@ from categories import (
     is_separated,
     terminal_category,
     try_cocomplete,
-    validate_functor,
 )
 
 

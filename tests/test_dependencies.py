@@ -23,7 +23,8 @@ Yoneda and density prove their hom comparisons.  And it holds only reached
 code: every public top-level function is read by another part of the
 library, or is named by the benchmark (the tracer's targets and the
 workloads' `vq.<name>` reads) or is monad data or `weighted_colimit`,
-which the acceptance tests read."""
+which the acceptance tests read.  And every module of the library and of
+the tests reads every name it imports, but `__init__.py`, which re-exports."""
 
 import ast
 import sys
@@ -38,6 +39,7 @@ from test_tracer_targets import load_tracing
 SOURCES = sorted(Path(vqcat.__file__).parent.glob("*.py"))
 LIBRARY = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def imported_roots(tree):
@@ -456,3 +458,47 @@ def test_guard_sees_an_unreached_function():
         "b.py": ast.parse("def tabled():\n    return a.decide(1)\n"),
     }
     assert list(unreached_functions(trees, {"kept"})) == ["a.py:orphan"]
+
+
+def unread_imports(tree):
+    """Every name that an `import` or `from ... import` of the module binds
+    and that nothing in it reads as a bare name; `__future__` features are
+    not names."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+        else:
+            continue
+        yield from (name for name in bound if name not in read)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in SOURCES + TESTS if path.name != "__init__.py"],
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_reads_every_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert list(unread_imports(tree)) == []
+
+
+def test_guard_sees_an_unread_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "import struct\n"
+        "from .kernel import Planes, hom_matrix as hm\n"
+        "from typing import *\n"
+        "def f(x: Planes):\n"
+        "    struct = 1\n"
+        "    return os.path.join(x)\n"
+    )
+    assert sorted(unread_imports(tree)) == ["hm", "js", "struct"]

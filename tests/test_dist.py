@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from vqcat.dist import (
     Distributor,
-    VFunctor,
     compose_dist,
     dist_le,
     functor_hom,

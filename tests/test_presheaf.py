@@ -25,7 +25,6 @@ from vqcat.presheaf import (
     enumerate_presheaves,
     inverter,
     mu,
-    presheaf_hom,
     yoneda,
 )
 from vqcat.quantale import BUILTIN_NAMES, builtin
@@ -36,7 +35,6 @@ from vqcat.vcat import (
     quantale_as_vcategory,
     tensor_vcat,
     unit_category,
-    validate_vcategory,
 )
 
 from categories import (
