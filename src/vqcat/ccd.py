@@ -23,7 +23,7 @@ from .tensorprod import build_tensor_product, enumerate_cocontinuous, vsup_categ
 from .vcat import VCategory, opposite, quantale_as_vcategory
 
 
-def left_adjoint_candidates(x: VCategory, f, hom) -> tuple[tuple[int, ...], ...]:
+def left_adjoint_candidates(x: VCategory, f, hom) -> tuple[bytes, ...]:
     """The one candidate l_c = meet_psi [C(c, F psi), psi] for a left
     adjoint of F : D(x) -> C at each object c, as a presheaf vector; `f`
     maps a presheaf vector to the index of F psi, `hom` is C's hom matrix.
@@ -40,18 +40,18 @@ def left_adjoint_candidates(x: VCategory, f, hom) -> tuple[tuple[int, ...], ...]
             continue  # [u, top] = top: nothing to meet
         into_v = [res[v] for res in q.hom]  # u |-> [u, v]
         for y, row in enumerate(x.hom):
-            k = f(tuple(map(into_v.__getitem__, row)))
+            k = f(bytes(map(into_v.__getitem__, row)))
             at = meets.setdefault(k, [q.top] * m)
             at[y] = q.meet[at[y]][v]
     ks = tuple(meets)
-    rows = (tuple(map(row.__getitem__, ks)) for row in hom)
-    return hom_matrix(q, rows, [tuple(meets[k][y] for k in ks) for y in range(m)])
+    rows = (bytes(map(row.__getitem__, ks)) for row in hom)
+    return hom_matrix(q, rows, [bytes(meets[k][y] for k in ks) for y in range(m)])
 
 
 @dataclass(frozen=True, eq=False)
 class TotallyBelowWitness:
     witness: CocompleteWitness
-    t: tuple[tuple[int, ...], ...]  # t[a][x]: the degree to which x is totally below a
+    t: tuple[bytes, ...]  # t[a][x]: the degree to which x is totally below a
 
 
 def totally_below(wa: CocompleteWitness) -> TotallyBelowWitness:
@@ -90,7 +90,7 @@ def ccd_reflector(ta: TotallyBelowWitness, tb: TotallyBelowWitness, values):
     the totally-below degree.  Agrees with the meet-of-majorants reflector.
     """
     q = ta.witness.base.quantale
-    return tuple(
+    return bytes(
         q.meet_of(q.hom[q.mult[u][w]][v] for (u, w), v in zip(product(down_a, down_b), values))
         for down_a in ta.t
         for down_b in tb.t

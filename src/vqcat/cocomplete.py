@@ -35,14 +35,14 @@ from .presheaf import (
     enumerate_presheaves,
     vector_name,
 )
-from .vcat import VCategory, separation_witness
+from .vcat import VCategory, columns, separation_witness
 
 
 def sup_target(x: VCategory, values):
     """The vector that X(sup phi, -) must equal, per the defining meet formula."""
     q = x.quantale
     m = len(x)
-    return tuple(
+    return bytes(
         q.meet_of(q.hom[values[a]][x.hom[a][b]] for a in range(m)) for b in range(m)
     )
 
@@ -57,7 +57,7 @@ def sup_of(x: VCategory, values) -> int:
     b = representer(x, values)
     if b is None:
         raise NotCocomplete(
-            f"no supremum for {vector_name(x, values)}", failing=Presheaf(x, tuple(values))
+            f"no supremum for {vector_name(x, values)}", failing=Presheaf(x, bytes(values))
         )
     return b
 
@@ -79,15 +79,15 @@ class CocompleteWitness:
         return tuple(colimit(objs, values) for values in self.dx.vectors)
 
     @cached_property
-    def ideal_columns(self) -> dict[tuple[int, ...], int | None]:
+    def ideal_columns(self) -> dict[bytes, int | None]:
         """The column table of `tensorprod`: each theta in D(base) mapped to
         the index of the first phi with D(base)(phi, theta) != theta(sup phi),
         or None if there is none (theta in C).  One hom matrix of D(base)."""
         vectors, sups = self.dx.vectors, self.sup_index
-        columns = zip(*hom_matrix(self.base.quantale, vectors, vectors))
+        cols = columns(hom_matrix(self.base.quantale, vectors, vectors), len(vectors))
         return {
             theta: next((i for i, h in enumerate(col) if h != theta[sups[i]]), None)
-            for theta, col in zip(vectors, columns)
+            for theta, col in zip(vectors, cols)
         }
 
 
@@ -123,10 +123,10 @@ def has_tensors_and_joins(x: VCategory) -> bool:
 
 def _weight(x: VCategory, v: int, objs):
     """The presheaf with value v on `objs` and bottom elsewhere."""
-    values = [x.quantale.bottom] * len(x)
+    values = bytearray([x.quantale.bottom]) * len(x)
     for z in objs:
         values[z] = v
-    return values
+    return bytes(values)
 
 
 def tensor_obj(x: VCategory, v: int, z: int) -> int:
@@ -170,7 +170,7 @@ def weighted_colimit(phi: Distributor, f: VFunctor) -> VFunctor:
     z = f.cod
     mapping = []
     for a in range(len(phi.dom)):
-        column = tuple(row[a] for row in phi.mat)
+        column = bytes(row[a] for row in phi.mat)
         b = z.kernel.colimit(f.mapping, column)
         if b is None:
             raise NoSuchColimit(
@@ -196,7 +196,7 @@ def dense_generators(a: VCategory) -> tuple[int, ...]:
     kept = list(range(len(a)))
     for x in range(len(a)):
         rest = [g for g in kept if g != x]
-        if colimit(rest, [hom[g][x] for g in rest]) == x:
+        if colimit(rest, bytes(hom[g][x] for g in rest)) == x:
             kept = rest
     return tuple(kept)
 
@@ -208,5 +208,5 @@ def is_cocontinuous(f: VFunctor) -> bool:
     that is no column of A."""
     if not f.mapping:
         return not f.cod.hom
-    columns = zip(*map(f.cod.hom.__getitem__, f.mapping))
-    return all(map(f.dom.column_index.__contains__, columns))
+    flat, m = b"".join(map(f.cod.hom.__getitem__, f.mapping)), len(f.cod)
+    return all(f.dom.column_index.__contains__(flat[c::m]) for c in range(m))

@@ -141,7 +141,7 @@ def _cauchy_chain2():
     dx = enumerate_presheaves(c2)
     sub, kept = cauchy_completion(c2, dx)
     reps = sorted(
-        dx.index[tuple(c2.hom[a][b] for a in range(len(c2)))] for b in range(len(c2))
+        dx.index[bytes(c2.hom[a][b] for a in range(len(c2)))] for b in range(len(c2))
     )
     ok = list(kept) == reps
     return ok, [

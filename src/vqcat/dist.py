@@ -1,8 +1,8 @@
 """V-functors, distributors, and the distributor calculus.
 
-Distributor matrices are stored cod-major: `mat[y][x]` is phi(y,x) for
-phi: X -|-> Y, matching the composition and extension formulas index for
-index.
+Distributor matrices are stored cod-major: `mat[y]` is the row phi(y, -)
+as `bytes`, like a hom row, so `mat[y][x]` is phi(y,x) for phi: X -|-> Y,
+matching the composition and extension formulas index for index.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import BoundaryMismatch, QuantaleMismatch, VCatError
 from .kernel import hom_matrix
-from .vcat import VCategory
+from .vcat import VCategory, columns
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class VFunctor:
 class Distributor:
     dom: VCategory
     cod: VCategory
-    mat: tuple[tuple[int, ...], ...]  # mat[y][x] = phi(y, x)
+    mat: tuple[bytes, ...]  # mat[y][x] = phi(y, x)
 
 
 def functor_hom(f: VFunctor, g: VFunctor) -> int:
@@ -34,17 +34,17 @@ def functor_hom(f: VFunctor, g: VFunctor) -> int:
     return q.meet_of(f.cod.hom[f.mapping[x]][g.mapping[x]] for x in range(len(f.dom)))
 
 
-def functor_hom_matrix(cod: VCategory, fs, gs) -> tuple[tuple[int, ...], ...]:
+def functor_hom_matrix(cod: VCategory, fs, gs) -> tuple[bytes, ...]:
     """The matrix of [X,Y](f, g) with a row per f in `fs` and a column per g
     in `gs`, all functors into Y = `cod` from one X.
 
     By Yoneda Y(b, b') = meet_d [Y(d, b), Y(d, b')], so [X,Y](f, g) is the
     presheaf hom of the vectors (Y(d, f x))_(x, d) and (Y(d, g x))_(x, d).
     """
-    cols = tuple(zip(*cod.hom))
+    cols = columns(cod.hom, len(cod))
 
     def vector(f):
-        return tuple(v for fx in f.mapping for v in cols[fx])
+        return b"".join(map(cols.__getitem__, f.mapping))
 
     return hom_matrix(cod.quantale, map(vector, fs), map(vector, gs))
 
@@ -52,7 +52,10 @@ def functor_hom_matrix(cod: VCategory, fs, gs) -> tuple[tuple[int, ...], ...]:
 def validate_distributor(dom: VCategory, cod: VCategory, mat) -> Distributor:
     if dom.quantale != cod.quantale:
         raise QuantaleMismatch("distributor between categories over different quantales")
-    mat = tuple(tuple(row) for row in mat)
+    try:
+        mat = tuple(map(bytes, mat))
+    except (TypeError, ValueError):
+        raise VCatError("distributor entries are not element indices below 256") from None
     if len(mat) != len(cod) or any(len(r) != len(dom) for r in mat):
         raise VCatError("distributor matrix has wrong shape")
     q = dom.quantale
@@ -83,7 +86,7 @@ def compose_dist(psi: Distributor, phi: Distributor) -> Distributor:
     q = psi.dom.quantale
     ny = len(psi.dom)
     mat = tuple(
-        tuple(
+        bytes(
             q.join_of(q.mult[psi.mat[z][y]][phi.mat[y][x]] for y in range(ny))
             for x in range(len(phi.dom))
         )
@@ -99,7 +102,7 @@ def right_extension(xi: Distributor, phi: Distributor) -> Distributor:
     q = xi.dom.quantale
     nx = len(xi.dom)
     mat = tuple(
-        tuple(
+        bytes(
             q.meet_of(q.hom[phi.mat[y][x]][xi.mat[z][x]] for x in range(nx))
             for y in range(len(phi.cod))
         )
@@ -115,7 +118,7 @@ def right_lifting(psi: Distributor, xi: Distributor) -> Distributor:
     q = psi.dom.quantale
     nz = len(psi.cod)
     mat = tuple(
-        tuple(
+        bytes(
             q.meet_of(q.hom[psi.mat[z][y]][xi.mat[z][x]] for z in range(nz))
             for x in range(len(xi.dom))
         )
@@ -148,6 +151,6 @@ def is_adjoint_functors(f: VFunctor, g: VFunctor) -> bool:
         return False
     y_hom = f.cod.hom
     return all(
-        y_hom[fx] == tuple(x_row[gy] for gy in g.mapping)
+        y_hom[fx] == bytes(map(x_row.__getitem__, g.mapping))
         for fx, x_row in zip(f.mapping, f.dom.hom)
     )

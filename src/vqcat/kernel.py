@@ -35,6 +35,7 @@ one `int(..., 2)`.  Then {w : j * u <= w} is the `&` of the m bitsets
 picked by the coordinates of j * u (one `translate` of u through the table
 of v |-> j * v), and a row of the matrix is decoded from its J bitsets with
 `format`, `translate` and `to_bytes`: per join-irreducible, not per cell.
+Vectors enter and rows leave as `bytes`, so nothing is converted.
 """
 
 from __future__ import annotations
@@ -89,11 +90,10 @@ class Planes:
         """The tables of v |-> code(f[v]), for a map f of element indices."""
         return tuple(_table(map(table.__getitem__, f)) for table in self.tables)
 
-    def encode(self, vector, tables: tuple[bytes, ...] | None = None) -> int:
+    def encode(self, vector: bytes, tables: tuple[bytes, ...] | None = None) -> int:
         """enc(vector); with tables `composed(f)`, enc(f applied to vector)."""
-        row = bytes(vector)
         return int.from_bytes(
-            b"".join(row.translate(table) for table in (tables or self.tables)), "little"
+            b"".join(vector.translate(table) for table in (tables or self.tables)), "little"
         )
 
 
@@ -127,12 +127,12 @@ class QuantaleTables:
                 table[codes[0][v]] = v
 
             def decode(masks):
-                return tuple(masks[0].translate(table))
+                return masks[0].translate(table)
         else:
             element = {tuple(code[v] for code in codes): v for v in range(q.n)}
 
             def decode(masks):
-                return tuple(map(element.__getitem__, zip(*masks)))
+                return bytes(map(element.__getitem__, zip(*masks)))
 
         self.decode = decode
 
@@ -159,7 +159,7 @@ class SupKernel:
                 full if v == q.bottom else planes.encode(hom_a, tables)
                 for v, tables in enumerate(cotensors)
             )
-            for hom_a in map(bytes, x.hom)
+            for hom_a in x.hom
         )
         rows: dict[int, int] = {}
         for c, cot_c in enumerate(self.cot):
@@ -180,32 +180,31 @@ class SupKernel:
         """The first object c with X(c, -) = `_meet(objs, values)`, or None."""
         return self.rows.get(self._meet(objs, values))
 
-    def meet_row(self, values) -> tuple[int, ...]:
+    def meet_row(self, values) -> bytes:
         """meet_a [values_a, X(a, -)] decoded: DX(phi, y -) for a presheaf phi."""
         m, blocks = len(self.cot), self.blocks
         code = self._meet(range(m), values).to_bytes(m * blocks, "little")
         return self.decode([code[k * m : (k + 1) * m] for k in range(blocks)])
 
 
-def hom_matrix(q: Quantale, us, ws) -> tuple[tuple[int, ...], ...]:
+def hom_matrix(q: Quantale, us, ws) -> tuple[bytes, ...]:
     """The matrix (meet_b [u_b, w_b]) with a row per u in `us` and a column
-    per w in `ws`; all vectors have one length."""
+    per w in `ws`; all vectors are `bytes` of one length."""
     us, ws = tuple(us), tuple(ws)
     if not (us and ws):
-        return tuple(() for _ in us)
-    n = len(ws)
+        return tuple(b"" for _ in us)
+    n, m, flat = len(ws), len(ws[0]), b"".join(ws)
     upsets, blocks, decode = q.tables.upsets, q.tables.blocks, q.tables.decode
     # Bitsets over ws put w_i at bit n-1-i, the order of int(., 2) and of
     # format(., "0nb"), so the i-th character of a bitset's string is w_i.
     # columns[b][t]: the w with t <= w_b
     columns = tuple(
-        tuple(int(column.translate(up), 2) for up in upsets)
-        for column in map(bytes, zip(*ws))
+        tuple(int(flat[b::m].translate(up), 2) for up in upsets) for b in range(m)
     )
     everything = (1 << n) - 1
     spelled = f"0{n}b"
     rows = []
-    for u in map(bytes, us):
+    for u in us:
         masks = []
         for block in blocks:
             acc = 0

@@ -8,8 +8,9 @@ candidate masks once and returns the graph of those tails, each with its
 completion count.  `render_rows`, the only place that builds rows, turns
 the graph into one buffer with a row of bytes per mapping, and
 `search_vfunctors` unpacks and sorts them.  D(X) answers `len` from the
-graph, and renders its rows, sorted as bytes, and decodes its vectors
-only when they are read.  The guard counts the nodes of the unshared
+graph, and renders its vectors only when they are read: a presheaf's cells
+are element indices, one byte each, so its rendered row is its vector.
+The guard counts the nodes of the unshared
 search, not the naive |V|^m candidate space, which pruning makes
 meaningless.
 """
@@ -25,7 +26,14 @@ from .dist import Distributor, VFunctor, identity_dist
 from .errors import QuantaleMismatch, SizeExceeded
 from .kernel import hom_matrix
 from .quantale import Quantale
-from .vcat import VCategory, opposite, quantale_as_vcategory, tensor_vcat, unit_category
+from .vcat import (
+    VCategory,
+    columns,
+    opposite,
+    quantale_as_vcategory,
+    tensor_vcat,
+    unit_category,
+)
 
 DEFAULT_NODE_CAP = 2_000_000
 
@@ -33,50 +41,42 @@ DEFAULT_NODE_CAP = 2_000_000
 @dataclass(frozen=True)
 class Presheaf:
     base: VCategory
-    values: tuple[int, ...]
+    values: bytes
 
 
 class PresheafCategory:
     """D(X) together with its presheaf vectors: the graph of their search,
-    then sorted byte rows.
+    then sorted `bytes` vectors.
 
     Objects are ordered lexicographically by value-index vector, so indices
     are reproducible across runs.  It is made from the graph of the search
-    (`search_tails`), and `len` reads the root's count.  `rows`, one `bytes`
-    row of `fmt` cells per presheaf, sorted, is rendered from the graph on
-    first read (`render_rows`), and the graph is then dropped.  `vectors`
-    (the value tuples) and `index` (a vector back to its object index) are
-    built from `rows` on first read.  The full hom matrix (`cat`) is built
-    on first use by the byte kernel (`kernel.hom_matrix`), a few big-int `&`
-    per row and join-irreducible; no decision reads it.
+    (`search_tails`), and `len` reads the root's count.  `vectors`, one
+    `bytes` row per presheaf with a one-byte cell per object (element
+    indices are below `quantale.MAX_ELEMENTS`), sorted, is rendered from
+    the graph on first read (`render_rows`), and the graph is then dropped.
+    `index` (a vector back to its object index) is built from `vectors` on
+    first read.  The full hom matrix (`cat`) is built on first use by the
+    byte kernel (`kernel.hom_matrix`), a few big-int `&` per row and
+    join-irreducible; no decision reads it.
     """
 
     def __init__(self, base: VCategory, tails: Tails):
         self.base, self._tails, self._count = base, tails, tails.count
-        self.fmt = _cells(tails.n)[2]
-        self._rows = self._cat = None
+        self._cat = None
 
     def __len__(self):
         return self._count
 
-    @property
-    def rows(self) -> list[bytes]:
-        if self._tails is not None:  # the graph, until its rows are rendered
-            buf, count, _ = render_rows(self._tails)
-            if buf:
-                self._rows = [row for (row,) in struct.iter_unpack(f"{len(buf) // count}s", buf)]
-                self._rows.sort()
-            else:  # no presheaf, or the one on an empty base
-                self._rows = [b""] * count
-            self._tails = None
-        return self._rows
+    @cached_property
+    def vectors(self) -> tuple[bytes, ...]:
+        buf, count, _ = render_rows(self._tails)
+        self._tails = None  # the graph, dropped once its rows are rendered
+        if not buf:  # no presheaf, or the one on an empty base
+            return (b"",) * count
+        return tuple(sorted(row for (row,) in struct.iter_unpack(f"{len(self.base)}s", buf)))
 
     @cached_property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_unpack(b"".join(self.rows), len(self.rows), len(self.base), self.fmt))
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
+    def index(self) -> dict[bytes, int]:
         return {v: i for i, v in enumerate(self.vectors)}
 
     @property
@@ -115,13 +115,6 @@ def _cells(n: int):
     return tuple(raw[c * w : (c + 1) * w] for c in range(n)), w, fmt
 
 
-def _unpack(buf, count: int, m: int, fmt: str) -> list:
-    """The mapping tuples of `count` rows of m cells of `fmt` in `buf`."""
-    if not m:
-        return [()] * count  # struct cannot step over rows of no bytes
-    return list(struct.iter_unpack(f">{m}{fmt}", buf))
-
-
 class Tails(tuple):
     """The graph of distinct tails that `search_tails` met: (root, count,
     order, n).
@@ -147,7 +140,9 @@ def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
     """All V-functors dom -> cod, as sorted mapping tuples: the one search,
     its rows rendered, unpacked and sorted."""
     buf, count, fmt = render_rows(search_tails(dom, cod, node_cap, what))
-    out = _unpack(buf, count, len(dom), fmt)
+    if not dom:
+        return [()] * count  # struct cannot step over rows of no bytes
+    out = list(struct.iter_unpack(f">{len(dom)}{fmt}", buf))
     out.sort()
     return out
 
@@ -345,10 +340,7 @@ def dist_to_functor(phi: Distributor, dx: PresheafCategory) -> VFunctor:
     """phi: Y -|-> X becomes f(y) = phi(-, y) into D(X)."""
     if phi.cod != dx.base:
         raise ValueError("distributor codomain does not match presheaf base")
-    nx = len(phi.cod)
-    mapping = tuple(
-        dx.index[tuple(phi.mat[a][y] for a in range(nx))] for y in range(len(phi.dom))
-    )
+    mapping = tuple(map(dx.index.__getitem__, columns(phi.mat, len(phi.dom))))
     return VFunctor(phi.dom, dx.cat, mapping)
 
 
@@ -360,7 +352,7 @@ def apply_D(f: VFunctor, phi):
     """
     q = f.dom.quantale
     y = f.cod
-    return tuple(
+    return bytes(
         q.join_of(q.mult[y.hom[b][f.mapping[a]]][phi[a]] for a in range(len(f.dom)))
         for b in range(len(y))
     )
@@ -377,8 +369,7 @@ def D_on_functor(f: VFunctor, dx: PresheafCategory, dy: PresheafCategory) -> VFu
 def D_inv(f: VFunctor, dx: PresheafCategory, dy: PresheafCategory) -> VFunctor:
     """D_{-1} f: D(Y) -> D(X), psi |-> psi . f (the inverse-image functor)."""
     mapping = tuple(
-        dx.index[tuple(psi[f.mapping[a]] for a in range(len(f.dom)))]
-        for psi in dy.vectors
+        dx.index[bytes(map(psi.__getitem__, f.mapping))] for psi in dy.vectors
     )
     return VFunctor(dy.cat, dx.cat, mapping)
 
@@ -388,7 +379,7 @@ def D_all(f: VFunctor, dx: PresheafCategory, dy: PresheafCategory) -> VFunctor:
     q = f.dom.quantale
     mapping = tuple(
         dy.index[
-            tuple(
+            bytes(
                 q.meet_of(
                     q.hom[f.cod.hom[f.mapping[a]][b]][phi[a]]
                     for a in range(len(f.dom))
@@ -408,7 +399,7 @@ def mu(x: VCategory, dx: PresheafCategory, ddx: PresheafCategory) -> VFunctor:
 
 def d0(q: Quantale, d_unit: PresheafCategory) -> VFunctor:
     """Unit comparison 1 -> D(1), picking the presheaf at e."""
-    return VFunctor(unit_category(q), d_unit.cat, (d_unit.index[(q.unit,)],))
+    return VFunctor(unit_category(q), d_unit.cat, (d_unit.index[bytes((q.unit,))],))
 
 
 def d2(
@@ -420,7 +411,7 @@ def d2(
     mapping = []
     for phi in dx.vectors:
         for psi in dy.vectors:
-            vec = tuple(q.mult[v][w] for v in phi for w in psi)
+            vec = bytes(q.mult[v][w] for v in phi for w in psi)
             mapping.append(dxy.index[vec])
     return VFunctor(dom, dxy.cat, tuple(mapping))
 
@@ -430,7 +421,7 @@ def full_subcategory(x: VCategory, indices) -> VCategory:
     return VCategory(
         x.quantale,
         tuple(x.objects[i] for i in indices),
-        tuple(tuple(x.hom[i][j] for j in indices) for i in indices),
+        tuple(bytes(map(x.hom[i].__getitem__, indices)) for i in indices),
     )
 
 

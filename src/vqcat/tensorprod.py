@@ -64,6 +64,7 @@ from .presheaf import (
 )
 from .vcat import (
     VCategory,
+    columns,
     opposite,
     quantale_as_vcategory,
     row_object,
@@ -92,13 +93,13 @@ def enumerate_extensions(dom: VCategory, gens, cod: VCategory, node_cap: int, ke
     """
     gens = tuple(gens)
     off = tuple(sorted(set(range(len(dom))).difference(gens)))
-    weights = [[dom.hom[g][x] for g in gens] for x in off]
+    weights = [bytes(dom.hom[g][x] for g in gens) for x in off]
     # g + the images off gens, read in object order
     slots = gens + off
     order = sorted(range(len(slots)), key=slots.__getitem__)
     colimit = cod.kernel.colimit
     # twins[c]: the objects with the hom row of c
-    classes: dict[tuple[int, ...], list[int]] = {}
+    classes: dict[bytes, list[int]] = {}
     for c, row in enumerate(cod.hom):
         classes.setdefault(row, []).append(c)
     twins = [classes[row] for row in cod.hom]
@@ -159,17 +160,16 @@ def g_ideal_failure(wa: CocompleteWitness, wb: CocompleteWitness, xi):
     a row xi(a, -) outside C_B gives (A(-, a), psi): one weight of the pair
     is always representable (module docstring, (i)-(ii)).
     """
-    xi = tuple(xi)
     a, b = wa.base, wb.base
     nb = len(b)
     for y in range(nb):
         i = wa.ideal_columns[xi[y::nb]]
         if i is not None:
-            return wa.dx.vectors[i], tuple(row[y] for row in b.hom)
+            return wa.dx.vectors[i], columns(b.hom, nb)[y]
     for x in range(len(a)):
         j = wb.ideal_columns[xi[x * nb : (x + 1) * nb]]
         if j is not None:
-            return tuple(row[x] for row in a.hom), wb.dx.vectors[j]
+            return columns(a.hom, len(a))[x], wb.dx.vectors[j]
     return None
 
 
@@ -195,7 +195,7 @@ def ideals_by_columns(
     c_a = presheaf_subcategory(wa.base, cols)
     ideals = []
     for m in search_vfunctors(opposite(wb.base), c_a, node_cap, "ideal"):
-        xi = tuple(cols[k][x] for x in range(na) for k in m)
+        xi = bytes(cols[k][x] for x in range(na) for k in m)
         if all(wb.ideal_columns[xi[x * nb : (x + 1) * nb]] is None for x in range(na)):
             ideals.append(xi)
     return tuple(sorted(ideals))
@@ -215,7 +215,7 @@ class TensorProduct:
     wa: CocompleteWitness
     wb: CocompleteWitness
     ab: VCategory  # tensor_vcat(A, B)
-    ideal_vectors: tuple[tuple[int, ...], ...]  # carrier index -> ideal on A (x) B
+    ideal_vectors: tuple[bytes, ...]  # carrier index -> ideal on A (x) B
     carrier: VCategory
     node_cap: int  # for dab
 
@@ -233,7 +233,8 @@ class TensorProduct:
     def i(self) -> VFunctor:
         """The universal bimorphism p |-> q(y p), by Yoneda the object whose
         hom row is column p of the ideals: carrier(q(y p), k) = xi_k(p)."""
-        mapping = tuple(row_object(self.carrier, col) for col in zip(*self.ideal_vectors))
+        cols = columns(self.ideal_vectors, len(self.ab))
+        mapping = tuple(row_object(self.carrier, col) for col in cols)
         if None in mapping:
             raise AssertionError("reflector is not left adjoint to inclusion")
         return VFunctor(self.ab, self.carrier, mapping)
@@ -266,7 +267,7 @@ def reflect_vector(q, ideal_vectors, values):
                     acc[p] = q.meet[acc[p]][w]
     if acc is None:
         raise ValueError("no ideal above the given presheaf")
-    return tuple(acc)
+    return bytes(acc)
 
 
 def _galois_images(a: VCategory, b: VCategory, node_cap: int):
@@ -274,7 +275,7 @@ def _galois_images(a: VCategory, b: VCategory, node_cap: int):
     vector in pair order."""
     nb = len(b)
     return [
-        tuple(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))
+        bytes(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))
         for f in enumerate_cocontinuous(a, opposite(b), node_cap)
     ]
 
@@ -301,7 +302,7 @@ def build_tensor_product(
 
 def reflector_q(t: TensorProduct, values):
     """Least ideal above a presheaf on A (x) B, as a value vector."""
-    return t.ideal_vectors[t.reflect(tuple(values))]
+    return t.ideal_vectors[t.reflect(values)]
 
 
 def is_bimorphism(f: VFunctor, a: VCategory, b: VCategory) -> bool:
@@ -373,6 +374,8 @@ def check_universal_property(
         raise QuantaleMismatch("test codomain is over another quantale than the factors")
     if t is None:
         t = build_tensor_product(a, b, node_cap=node_cap)
+    elif t.wa.base != a or t.wb.base != b:
+        raise ValueError("check_universal_property: t is the tensor of other factors")
     _witness_for(c, "test codomain", node_cap)
     bimorphs = enumerate_bimorphisms(a, b, c, node_cap)
     cocont = {f.mapping for f in enumerate_cocontinuous(t.carrier, c, node_cap)}

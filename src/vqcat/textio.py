@@ -249,10 +249,13 @@ def _derived_vcat(ws: Workspace, no: int, name: str, toks, node_cap, obj_cap):
         ws.vcat_quantale[name] = toks[1]
     elif kind == "presheaves" and len(toks) == 2:
         dx = enumerate_presheaves(vcat(toks[1]), node_cap)
-        if obj_cap is not None and len(dx) > obj_cap:
+        n = len(dx)
+        if obj_cap is not None and n > obj_cap:
+            raise SizeExceeded(f"vcategory {name} has {n} objects (cap {obj_cap})", estimate=n)
+        if n * n > node_cap:  # before the n x n hom matrix
             raise SizeExceeded(
-                f"vcategory {name} has {len(dx)} objects (cap {obj_cap})",
-                estimate=len(dx),
+                f"vcategory {name} would have {n} x {n} hom entries (cap {node_cap})",
+                estimate=n * n,
             )
         ws.vcats[name] = dx.cat
         ws.vcat_quantale[name] = qname_of(toks[1])
@@ -263,8 +266,8 @@ def _derived_vcat(ws: Workspace, no: int, name: str, toks, node_cap, obj_cap):
 def parse_text(
     text: str, ws: Workspace | None = None, node_cap=DEFAULT_NODE_CAP, obj_cap=None
 ) -> Workspace:
-    """Parse one file into `ws`; `presheaves X` is bounded by the two caps,
-    `tensor X Y` by `node_cap` on its hom entries."""
+    """Parse one file into `ws`; `presheaves X` is bounded by the two caps
+    and, like `tensor X Y`, by `node_cap` on its hom entries."""
     ws = ws or Workspace()
     block = None
     for no, raw in enumerate(text.splitlines(), start=1):

@@ -1,8 +1,10 @@
 """Finite V-categories and their canonical constructions.
 
-Objects are referenced by index; `hom[x][y]` holds the quantale element X(x,y).
-Equality of V-categories is name-insensitive: same quantale, same size, same
-hom matrix under the declared object order.
+Objects are referenced by index.  `hom[x]` holds the row X(x, -) as `bytes`,
+one element index per cell, so `hom[x][y]` is the element X(x, y).  Every
+vector of quantale elements in vqcat, a hom or distributor row or a
+presheaf, is such a `bytes`.  Equality of V-categories is name-insensitive:
+same quantale, same size, same hom matrix under the declared object order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .quantale import Quantale
 class VCategory:
     quantale: Quantale
     objects: tuple[str, ...]
-    hom: tuple[tuple[int, ...], ...]
+    hom: tuple[bytes, ...]
 
     def __eq__(self, other):
         if not isinstance(other, VCategory):
@@ -44,16 +46,26 @@ class VCategory:
         return SupKernel(self)
 
     @cached_property
-    def column_index(self) -> dict[tuple[int, ...], int]:
+    def column_index(self) -> dict[bytes, int]:
         """Each column X(-, x) mapped to its last object x, built on first
         use and kept."""
-        return {col: x for x, col in enumerate(zip(*self.hom))}
+        return {col: x for x, col in enumerate(columns(self.hom, len(self)))}
+
+
+def columns(rows, m: int) -> tuple[bytes, ...]:
+    """The m columns of a matrix of `bytes` rows of length m."""
+    flat = b"".join(rows)
+    return tuple(flat[b::m] for b in range(m))
 
 
 def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
-    """Check the reflexivity and composition inequalities, with witnesses."""
+    """Check the reflexivity and composition inequalities, with witnesses;
+    the rows are kept as `bytes`."""
     objects = tuple(objects)
-    hom = tuple(tuple(row) for row in hom)
+    try:
+        hom = tuple(map(bytes, hom))
+    except (TypeError, ValueError):
+        raise VCatError("hom entries are not element indices below 256") from None
     m = len(objects)
     if len(hom) != m:
         raise VCatError(f"hom matrix has {len(hom)} rows for {m} objects", (len(hom), m))
@@ -96,7 +108,7 @@ def row_object(x: VCategory, row):
     which holds the same rows encoded; `TensorProduct.i` calls this directly.
     """
     try:
-        return x.hom.index(tuple(row))
+        return x.hom.index(row)
     except ValueError:
         return None
 
@@ -120,11 +132,7 @@ def separation_witness(x: VCategory):
 
 
 def opposite(x: VCategory) -> VCategory:
-    return VCategory(
-        x.quantale,
-        x.objects,
-        tuple(tuple(x.hom[b][a] for b in range(len(x))) for a in range(len(x))),
-    )
+    return VCategory(x.quantale, x.objects, columns(x.hom, len(x)))
 
 
 def tensor_vcat(x: VCategory, y: VCategory) -> VCategory:
@@ -140,13 +148,7 @@ def tensor_vcat(x: VCategory, y: VCategory) -> VCategory:
         f"({a},{b})" for a in x.objects for b in y.objects
     )
     hom = tuple(
-        tuple(
-            q.mult[x.hom[a][a2]][y.hom[b][b2]]
-            for a2 in range(len(x))
-            for b2 in range(len(y))
-        )
-        for a in range(len(x))
-        for b in range(len(y))
+        bytes(q.mult[u][w] for u in x_row for w in y_row) for x_row in x.hom for y_row in y.hom
     )
     return VCategory(q, objects, hom)
 
@@ -157,9 +159,7 @@ def discrete(q: Quantale, names) -> VCategory:
     return VCategory(
         q,
         names,
-        tuple(
-            tuple(q.unit if a == b else q.bottom for b in range(m)) for a in range(m)
-        ),
+        tuple(bytes(q.unit if a == b else q.bottom for b in range(m)) for a in range(m)),
     )
 
 
@@ -170,4 +170,4 @@ def unit_category(q: Quantale) -> VCategory:
 
 def quantale_as_vcategory(q: Quantale) -> VCategory:
     """V itself, with hom the residuation."""
-    return VCategory(q, q.elements, q.hom)
+    return VCategory(q, q.elements, tuple(map(bytes, q.hom)))

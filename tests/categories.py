@@ -134,7 +134,7 @@ def graph(f):
     """The adjoint pair f_* -| f^* of a V-functor f : X -> Y:
     f_*(y, x) = Y(y, f x) goes X -|-> Y, f^*(x, y) = Y(f x, y) goes Y -|-> X."""
     x, y = f.dom, f.cod
-    lower = tuple(tuple(y.hom[b][fa] for fa in f.mapping) for b in range(len(y)))
+    lower = tuple(bytes(y.hom[b][fa] for fa in f.mapping) for b in range(len(y)))
     upper = tuple(y.hom[fa] for fa in f.mapping)
     return Distributor(x, y, lower), Distributor(y, x, upper)
 
@@ -142,12 +142,13 @@ def graph(f):
 def functor_to_dist(f, dx):
     """The distributor phi(x, y) = f(y)(x) of a functor f into D(X), the
     inverse of `presheaf.dist_to_functor`."""
-    return Distributor(f.dom, dx.base, tuple(zip(*(dx.vectors[fy] for fy in f.mapping))))
+    cols = zip(*(dx.vectors[fy] for fy in f.mapping))
+    return Distributor(f.dom, dx.base, tuple(map(bytes, cols)))
 
 
 def terminal_category(q):
     """One object with hom top."""
-    return VCategory(q, ("0",), ((q.top,),))
+    return VCategory(q, ("0",), (bytes((q.top,)),))
 
 
 def is_separated(x):
@@ -163,7 +164,8 @@ def right_adjoint(f):
     Such a g makes f a V-functor, so a map that is not one gets None.
     """
     a, b = f.dom, f.cod
-    mapping = tuple(map(a.column_index.get, zip(*map(b.hom.__getitem__, f.mapping))))
+    cols = zip(*map(b.hom.__getitem__, f.mapping))
+    mapping = tuple(map(a.column_index.get, map(bytes, cols)))
     # an empty A has no columns at all, so zip yields none for B's objects
     if None in mapping or len(mapping) != len(b):
         return None
@@ -209,7 +211,7 @@ def left_adjoints(dx, labels, hom):
     for k, psi in zip(labels, dx.vectors, strict=True):
         fibers[k].append(psi)
     meets = [tuple(q.meet_of(set(col)) for col in zip(*fiber)) for fiber in fibers]
-    return tuple(map(dx.index.__getitem__, hom_matrix(q, hom, zip(*meets))))
+    return tuple(map(dx.index.__getitem__, hom_matrix(q, hom, map(bytes, zip(*meets)))))
 
 
 def dual_category(a, node_cap=DEFAULT_NODE_CAP):
@@ -258,7 +260,7 @@ def nuclear_by_carrier(x, node_cap=DEFAULT_NODE_CAP):
     else:
         def pick(row):
             return tuple(row[k] for k in big.mapping)
-    return all(row == pick(h_cat.hom[bk]) for row, bk in zip(t.carrier.hom, big.mapping))
+    return all(row == bytes(pick(h_cat.hom[bk])) for row, bk in zip(t.carrier.hom, big.mapping))
 
 
 def unit_and_injectivity(x):
@@ -408,7 +410,8 @@ def random_sup_lattices(draw, quantales, max_objects=4, max_size=24):
     of more than `max_size` presheaves is rejected."""
     x = draw(random_categories(quantales, max_objects))
     q = x.quantale
-    todo = draw(st.lists(st.sampled_from(enumerate_presheaves(x).vectors), min_size=2, max_size=6))
+    vectors = enumerate_presheaves(x).vectors
+    todo = [tuple(phi) for phi in draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=6))]
     closed = {(q.top,) * len(x)}
     while todo:
         phi = todo.pop()
@@ -418,4 +421,4 @@ def random_sup_lattices(draw, quantales, max_objects=4, max_size=24):
         todo += [tuple(q.meet[u][w] for u, w in zip(phi, psi)) for psi in closed]
         closed.add(phi)
         assume(len(closed) <= max_size)
-    return presheaf_subcategory(x, sorted(closed))
+    return presheaf_subcategory(x, sorted(map(bytes, closed)))

@@ -1,9 +1,35 @@
 import pytest
 
+from vqcat.dist import Distributor
 from vqcat.quantale import builtin
-from vqcat.vcat import quantale_as_vcategory, validate_vcategory
+from vqcat.vcat import VCategory, quantale_as_vcategory, validate_vcategory
 
 from categories import terminal_category
+
+
+def bytes_rows_only(init, field):
+    """`init`, then a test failure if the matrix `field` is not a tuple of
+    `bytes` rows."""
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        rows = getattr(self, field)
+        if type(rows) is not tuple or not all(type(row) is bytes for row in rows):
+            pytest.fail(f"{type(self).__name__}.{field} is not a tuple of bytes rows")
+
+    return checked
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_row_type():
+    """Every V-category and distributor built in a test holds its rows as
+    `bytes`, the one type of a vector of quantale elements."""
+    saved = {VCategory: VCategory.__init__, Distributor: Distributor.__init__}
+    VCategory.__init__ = bytes_rows_only(saved[VCategory], "hom")
+    Distributor.__init__ = bytes_rows_only(saved[Distributor], "mat")
+    yield
+    for cls, init in saved.items():
+        cls.__init__ = init
 
 
 @pytest.fixture(scope="session")

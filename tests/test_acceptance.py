@@ -258,8 +258,8 @@ def test_criterion_6_g_ideal_oracle(announce):
     for flat in itertools.product(range(2), repeat=4):
         if not is_presheaf_vector(t.ab, flat):
             continue
-        if is_g_ideal(t.wa, t.wb, flat):
-            naive.append(flat)
+        if is_g_ideal(t.wa, t.wb, bytes(flat)):
+            naive.append(bytes(flat))
     enumerated = [t.ideal_vectors[k] for k in range(len(t.carrier))]
     iso = any(
         all(

@@ -201,7 +201,7 @@ def luk3_lattice(*vectors):
     """The full subcategory of D(discrete abcd) over lukasiewicz3 (0 < a < 1)
     on the presheaves written like "0a10", one element per object."""
     q = builtin("lukasiewicz3")
-    return presheaf_subcategory(discrete(q, "abcd"), [tuple(map(q.index, v)) for v in vectors])
+    return presheaf_subcategory(discrete(q, "abcd"), [bytes(map(q.index, v)) for v in vectors])
 
 
 # A 19-object lattice that hypothesis drew: it is ccd and nuclear, and has
@@ -249,7 +249,7 @@ def candidate_fold(dx, row):
     for v, psi in zip(row, dx.vectors, strict=True):
         for x, w in enumerate(psi):
             cand[x] = q.meet[cand[x]][q.hom[v][w]]
-    return dx.index[tuple(cand)]
+    return dx.index[bytes(cand)]
 
 
 def search_totally_below(wa):
@@ -306,7 +306,7 @@ def test_totally_below_row_lookup_matches_search(name):
     x = oracle_category(name)
     w = check_cocomplete(x)
     found = search_totally_below(w)
-    rows = [tuple(x.hom[a][s] for s in w.sup_index) for a in range(len(x))]
+    rows = [bytes(x.hom[a][s] for s in w.sup_index) for a in range(len(x))]
     assert [row_object(w.dx.cat, row) for row in rows] == found
     cands = left_adjoints(w.dx, w.sup_index, x.hom)
     assert [c if w.sup_index[c] == a else None for a, c in enumerate(cands)] == found
@@ -332,7 +332,7 @@ def test_reflector_left_adjoint_row_lookup_matches_search(name):
         reflect_vector(q, t.ideal_vectors, xi) for xi in t.dab.vectors
     ]
     found = search_reflector_left_adjoint(t, q_map)
-    rows = [tuple(hk[r] for r in q_map) for hk in t.carrier.hom]
+    rows = [bytes(hk[r] for r in q_map) for hk in t.carrier.hom]
     assert [row_object(t.dab.cat, row) for row in rows] == found
     cands = left_adjoints(t.dab, q_map, t.carrier.hom)
     assert [c if q_map[c] == k else None for k, c in enumerate(cands)] == found
@@ -355,7 +355,7 @@ def test_presheaf_row_object_matches_matrix_lookup(name):
         assert candidate_fold(dx, row) == k
         for p in range(len(row)):
             for v in range(n):
-                other = row[:p] + (v,) + row[p + 1 :]
+                other = row[:p] + bytes((v,)) + row[p + 1 :]
                 assert row_object(dcat, other) in (None, candidate_fold(dx, other))
 
 
@@ -411,7 +411,7 @@ def test_cotensor_candidates_over_the_one_element_quantale():
     # candidate is the top presheaf
     one = validate_quantale(("0",), ((True,),), ((0,),), 0)
     x = validate_vcategory(one, ("p",), ((0,),))
-    assert sup_candidates(x) == left_adjoint_candidates(x, lambda psi: 0, x.hom) == ((0,),)
+    assert sup_candidates(x) == left_adjoint_candidates(x, lambda psi: 0, x.hom) == (b"\0",)
     assert is_ccd(x)
 
 

@@ -64,7 +64,7 @@ def functor_mappings(dom, cod):
 
 def presheaves_are_functors(x):
     v = quantale_as_vcategory(x.quantale)
-    return enumerate_presheaves(x).vectors == tuple(enumerate_vfunctors(opposite(x), v))
+    return enumerate_presheaves(x).vectors == tuple(map(bytes, enumerate_vfunctors(opposite(x), v)))
 
 
 ORACLE_PAIRS = [
@@ -175,8 +175,8 @@ def test_one_object_extension_is_residuation(luk3):
     one = validate_vcategory(luk3, ("s",), ((luk3.unit,),))
     for v in range(luk3.n):
         for w in range(luk3.n):
-            xi = Distributor(one, one, ((w,),))
-            phi = Distributor(one, one, ((v,),))
+            xi = Distributor(one, one, (bytes((w,)),))
+            phi = Distributor(one, one, (bytes((v,)),))
             assert right_extension(xi, phi).mat[0][0] == luk3.hom[v][w]
 
 
@@ -191,7 +191,7 @@ def test_graph_adjoint(chain2, v_luk):
 
 
 def test_bottom_pair_not_adjoint(chain2):
-    bot = Distributor(chain2, chain2, ((0, 0), (0, 0)))
+    bot = Distributor(chain2, chain2, (bytes(2), bytes(2)))
     assert not is_adjoint_pair(bot, bot)
 
 

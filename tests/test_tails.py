@@ -41,7 +41,7 @@ def test_counting_d_of_bool5_renders_no_row(no_rows):
     dx = enumerate_presheaves(poset(tuple(range(32)), lambda i, j: i & j == i))
     assert len(dx) == 7581
     with pytest.raises(AssertionError, match="rows rendered"):
-        dx.rows
+        dx.vectors
 
 
 @pytest.mark.parametrize("name", ["bool4-two", "V-luk8", "V-heyt9"])
@@ -92,7 +92,7 @@ def test_rows_are_rendered_once(monkeypatch):
     monkeypatch.setattr(presheaf, "render_rows", counted)
     dx = enumerate_presheaves(pinned_category("bool4-two"))
     assert rendered == []
-    assert dx.index[dx.vectors[5]] == 5 and dx.rows is dx.rows
+    assert dx.index[dx.vectors[5]] == 5 and dx.vectors is dx.vectors
     assert rendered == [168] == [len(dx)]
 
 
@@ -101,7 +101,7 @@ def test_the_count_is_the_number_of_rows(name):
     x = pinned_category(name) if name in PRESHEAF_NODES else oracle_category(name)
     dx = enumerate_presheaves(x)
     n = len(dx)
-    assert n == len(dx.vectors) == len(set(dx.vectors)) == len(dx.rows)
+    assert n == len(dx.vectors) == len(set(dx.vectors))
 
 
 @settings(max_examples=100, deadline=None)

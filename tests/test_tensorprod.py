@@ -433,8 +433,8 @@ def test_g_ideal_failure_reports_pair(factors):
         for partner in ("self", "dual"):
             t = _tensor(factors, name, partner)
             a, b = t.wa.base, t.wb.base
-            reps_a = {tuple(row[x] for row in a.hom) for x in range(len(a))}
-            reps_b = {tuple(row[y] for row in b.hom) for y in range(len(b))}
+            reps_a = {bytes(row[x] for row in a.hom) for x in range(len(a))}
+            reps_b = {bytes(row[y] for row in b.hom) for y in range(len(b))}
             ideals = set(t.ideal_vectors)
             for xi in t.dab.vectors:
                 fail = g_ideal_failure(t.wa, t.wb, xi)
@@ -561,7 +561,7 @@ def test_symmetry_under_transposition(chain2, v_two):
     t2 = build_tensor_product(v_two, chain2)
     na, nb = len(chain2), len(v_two)
     transposed = {
-        tuple(xi[b * na + a] for a in range(na) for b in range(nb))
+        bytes(xi[b * na + a] for a in range(na) for b in range(nb))
         for xi in (t2.ideal_vectors[k] for k in range(len(t2.carrier)))
     }
     ours = {t1.ideal_vectors[k] for k in range(len(t1.carrier))}
@@ -651,7 +651,7 @@ def test_galois_chain2(chain2):
 
 def test_galois_constant_top_map(chain2, t_chain2):
     # the constant-to-top map into B^op corresponds to the all-top ideal
-    top_vec = (1,) * len(t_chain2.ab)
+    top_vec = b"\1" * len(t_chain2.ab)
     assert top_vec in {
         t_chain2.ideal_vectors[k] for k in range(len(t_chain2.carrier))
     }
@@ -859,7 +859,7 @@ def carrier_and_functor_hom(a, b):
     index = {xi: k for k, xi in enumerate(t.ideal_vectors)}
     nb = len(b)
     ks = [
-        index[tuple(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))]
+        index[bytes(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))]
         for f in funs
     ]
     carrier = tuple(tuple(t.carrier.hom[k][j] for j in ks) for k in ks)
@@ -904,6 +904,20 @@ def test_universal_property_fails_on_swapped_extensions(chain2, monkeypatch):
     }
     monkeypatch.setattr(tensorprod, "extend_bimorphism", lambda t, g: swapped[g.mapping])
     assert not check_universal_property(chain2, chain2, chain2, t=t)
+
+
+def test_universal_property_refuses_the_tensor_of_other_factors():
+    # t must be the tensor of a and b: chain3 (x) chain3 does not answer
+    # for chain2 (x) chain2, whose own tensor passes
+    c2, c3 = _chain(2), _chain(3)
+    with pytest.raises(ValueError, match="t is the tensor of other factors"):
+        check_universal_property(c2, c2, c3, t=build_tensor_product(c3, c3))
+    with pytest.raises(ValueError, match="t is the tensor of other factors"):
+        check_universal_property(c2, c3, c3, t=build_tensor_product(c2, c2))
+    assert check_universal_property(c2, c2, c3)
+    # the factors are compared as V-categories: renamed objects keep t
+    renamed = poset(["p", "q"], lambda i, j: i <= j)
+    assert check_universal_property(renamed, c2, c3, t=build_tensor_product(c2, c2))
 
 
 def restriction_and_extension_hom(a, b, c, node_cap=DEFAULT_NODE_CAP):

@@ -25,7 +25,7 @@ def test_parse_basic_workspace():
     assert ws.quantales["two"] == builtin("two")
     c2 = ws.vcats["C2"]
     assert c2.objects == ("x0", "x1")
-    assert c2.hom == ((1, 1), (0, 1))  # defaults fill diag=e, rest=bottom
+    assert c2.hom == (b"\1\1", b"\0\1")  # defaults fill diag=e, rest=bottom
 
 
 def test_literal_quantale_block():
@@ -50,7 +50,7 @@ vcategory P = presheaves C2
 """
     ws = parse_text(text)
     assert len(ws.vcats["VV"]) == 4
-    assert ws.vcats["Cop"].hom == ((1, 0), (1, 1))
+    assert ws.vcats["Cop"].hom == (b"\1\0", b"\1\1")
     assert len(ws.vcats["P"]) == 3
 
 
@@ -61,6 +61,24 @@ def test_presheaves_constructor_caps():
         parse_text(text, obj_cap=2)
     with pytest.raises(SizeExceeded):
         parse_text(text, node_cap=2)
+
+
+def _presheaves_of_discrete(n):
+    objects = " ".join(f"a{i}" for i in range(n))
+    return f"quantale two builtin two\nvcategory A = discrete two {objects}\nvcategory P = presheaves A\n"
+
+
+def test_presheaves_constructor_bounds_its_hom_entries_by_the_node_cap():
+    # D(discrete 12) over two has 4,096 objects; with no object cap its
+    # 4,096^2 hom entries are refused, like a tensor's, before they are built
+    with pytest.raises(SizeExceeded) as exc:
+        parse_text(_presheaves_of_discrete(12))
+    assert str(exc.value) == "vcategory P would have 4096 x 4096 hom entries (cap 2000000)"
+    assert exc.value.estimate == 4096**2
+    # D(discrete 3) has 8 objects: 64 hom entries, and 14 search nodes
+    assert len(parse_text(_presheaves_of_discrete(3), node_cap=64).vcats["P"]) == 8
+    with pytest.raises(SizeExceeded, match="vcategory P would have 8 x 8 hom entries"):
+        parse_text(_presheaves_of_discrete(3), node_cap=63)
 
 
 def test_tensor_constructor_caps():
@@ -81,7 +99,7 @@ distributor phi : C2 -> C2
     ws = parse_text(text)
     phi = ws.dists["phi"]
     # val <dom obj> <cod obj> = v sets mat[cod][dom]; mat is cod-major
-    assert phi.mat == ((1, 1), (0, 1))
+    assert phi.mat == (b"\1\1", b"\0\1")
 
 
 def test_parse_error_carries_line_number():

@@ -1,12 +1,15 @@
-"""V-category axioms, separation, opposites, and the tensor in V-Cat."""
+"""V-category axioms, separation, opposites, the tensor in V-Cat, and the
+one row type: every hom and distributor row is `bytes`."""
 
 import itertools
 
 import pytest
 
+from vqcat.dist import Distributor, validate_distributor
 from vqcat.errors import QuantaleMismatch, ReflexivityFail, TransitivityFail, VCatError
 from vqcat.quantale import BUILTIN_NAMES, builtin
 from vqcat.vcat import (
+    VCategory,
     discrete,
     opposite,
     quantale_as_vcategory,
@@ -128,3 +131,23 @@ def test_r422_square_not_separated(r422):
     ae = vv.objects.index("(a,e)")
     ea = vv.objects.index("(e,a)")
     assert order[ae][ea] and order[ea][ae]
+
+
+def test_row_type_guard_sees_a_row_that_is_not_bytes(two, chain2):
+    # the conftest guard fails any test that builds a matrix of other rows
+    with pytest.raises(pytest.fail.Exception, match="VCategory.hom is not a tuple of bytes"):
+        VCategory(two, ("x0", "x1"), ((1, 1), (0, 1)))
+    with pytest.raises(pytest.fail.Exception, match="VCategory.hom is not a tuple of bytes"):
+        VCategory(two, ("x0", "x1"), [b"\1\1", b"\0\1"])
+    with pytest.raises(pytest.fail.Exception, match="Distributor.mat is not a tuple of bytes"):
+        Distributor(chain2, chain2, (b"\1\1", bytearray(b"\0\1")))
+    assert VCategory(two, ("x0", "x1"), (b"\1\1", b"\0\1")) == chain2
+
+
+@pytest.mark.parametrize("entry", [-1, 256, None])
+def test_entries_past_a_byte_are_typed_errors(two, chain2, entry):
+    # validation keeps rows as bytes; what no byte holds is no element
+    with pytest.raises(VCatError, match="not element indices below 256"):
+        validate_vcategory(two, ("p", "q"), ((1, entry), (0, 1)))
+    with pytest.raises(VCatError, match="not element indices below 256"):
+        validate_distributor(chain2, chain2, ((1, entry), (0, 1)))
