@@ -165,11 +165,11 @@ def g_ideal_failure(wa: CocompleteWitness, wb: CocompleteWitness, xi):
     for y in range(nb):
         i = wa.ideal_columns[xi[y::nb]]
         if i is not None:
-            return wa.dx.vectors[i], columns(b.hom, nb)[y]
+            return wa.dx.vectors[i], bytes(row[y] for row in b.hom)
     for x in range(len(a)):
         j = wb.ideal_columns[xi[x * nb : (x + 1) * nb]]
         if j is not None:
-            return columns(a.hom, len(a))[x], wb.dx.vectors[j]
+            return bytes(row[x] for row in a.hom), wb.dx.vectors[j]
     return None
 
 
