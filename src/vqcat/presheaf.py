@@ -9,10 +9,9 @@ completion count.  `render_rows`, the only place that builds rows, turns
 the graph into one buffer with a row of bytes per mapping, and
 `search_vfunctors` unpacks and sorts them.  D(X) answers `len` from the
 graph, and renders its vectors only when they are read: a presheaf's cells
-are element indices, one byte each, so its rendered row is its vector.
-The guard counts the nodes of the unshared
-search, not the naive |V|^m candidate space, which pruning makes
-meaningless.
+are element indices, one byte each, so its rendered row is its vector.  The
+guard counts the nodes of the unshared search, not the naive |V|^m
+candidate space, which pruning makes meaningless.
 """
 
 from __future__ import annotations
