@@ -35,7 +35,7 @@ from .presheaf import (
     enumerate_presheaves,
     vector_name,
 )
-from .vcat import VCategory, columns, separation_witness
+from .vcat import VCategory, column_slices, columns, separation_witness
 
 
 def sup_target(x: VCategory, values):
@@ -208,5 +208,5 @@ def is_cocontinuous(f: VFunctor) -> bool:
     that is no column of A."""
     if not f.mapping:
         return not f.cod.hom
-    flat, m = b"".join(map(f.cod.hom.__getitem__, f.mapping)), len(f.cod)
-    return all(f.dom.column_index.__contains__(flat[c::m]) for c in range(m))
+    flat, cuts = b"".join(map(f.cod.hom.__getitem__, f.mapping)), column_slices(len(f.cod.hom))
+    return all(map(f.dom.column_index.__contains__, map(flat.__getitem__, cuts)))

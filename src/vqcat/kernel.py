@@ -201,8 +201,7 @@ def hom_matrix(q: Quantale, us, ws) -> tuple[bytes, ...]:
     columns = tuple(
         tuple(int(flat[b::m].translate(up), 2) for up in upsets) for b in range(m)
     )
-    everything = (1 << n) - 1
-    spelled = f"0{n}b"
+    everything, spelled = (1 << n) - 1, f"0{n}b"
     rows = []
     for u in us:
         masks = []

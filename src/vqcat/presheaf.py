@@ -141,9 +141,7 @@ def search_vfunctors(dom: VCategory, cod: VCategory, node_cap: int, what: str):
     buf, count, fmt = render_rows(search_tails(dom, cod, node_cap, what))
     if not dom:
         return [()] * count  # struct cannot step over rows of no bytes
-    out = list(struct.iter_unpack(f">{len(dom)}{fmt}", buf))
-    out.sort()
-    return out
+    return sorted(struct.iter_unpack(f">{len(dom)}{fmt}", buf))
 
 
 def search_tails(dom: VCategory, cod: VCategory, node_cap: int, what: str) -> Tails:

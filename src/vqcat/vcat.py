@@ -10,7 +10,7 @@ same quantale, same size, same hom matrix under the declared object order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import QuantaleMismatch, ReflexivityFail, TransitivityFail, VCatError
 from .kernel import SupKernel
@@ -52,15 +52,19 @@ class VCategory:
         return {col: x for x, col in enumerate(columns(self.hom, len(self)))}
 
 
+@lru_cache(maxsize=64)
+def column_slices(m: int) -> tuple[slice, ...]:
+    """The slices that cut the columns out of joined `bytes` rows of length m."""
+    return tuple(slice(b, None, m) for b in range(m))
+
+
 def columns(rows, m: int) -> tuple[bytes, ...]:
     """The m columns of a matrix of `bytes` rows of length m."""
-    flat = b"".join(rows)
-    return tuple(flat[b::m] for b in range(m))
+    return tuple(map(b"".join(rows).__getitem__, column_slices(m)))
 
 
 def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
-    """Check the reflexivity and composition inequalities, with witnesses;
-    the rows are kept as `bytes`."""
+    """Check the reflexivity and composition inequalities, with witnesses."""
     objects = tuple(objects)
     try:
         hom = tuple(map(bytes, hom))

@@ -260,7 +260,9 @@ def nuclear_by_carrier(x, node_cap=DEFAULT_NODE_CAP):
     else:
         def pick(row):
             return tuple(row[k] for k in big.mapping)
-    return all(row == bytes(pick(h_cat.hom[bk])) for row, bk in zip(t.carrier.hom, big.mapping))
+    return all(
+        row == bytes(pick(h_cat.hom[bk])) for row, bk in zip(t.carrier.hom, big.mapping)
+    )
 
 
 def unit_and_injectivity(x):
@@ -411,7 +413,8 @@ def random_sup_lattices(draw, quantales, max_objects=4, max_size=24):
     x = draw(random_categories(quantales, max_objects))
     q = x.quantale
     vectors = enumerate_presheaves(x).vectors
-    todo = [tuple(phi) for phi in draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=6))]
+    drawn = draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=6))
+    todo = [tuple(phi) for phi in drawn]
     closed = {(q.top,) * len(x)}
     while todo:
         phi = todo.pop()

@@ -64,7 +64,8 @@ def functor_mappings(dom, cod):
 
 def presheaves_are_functors(x):
     v = quantale_as_vcategory(x.quantale)
-    return enumerate_presheaves(x).vectors == tuple(map(bytes, enumerate_vfunctors(opposite(x), v)))
+    functors = enumerate_vfunctors(opposite(x), v)
+    return enumerate_presheaves(x).vectors == tuple(map(bytes, functors))
 
 
 ORACLE_PAIRS = [

@@ -433,7 +433,8 @@ def test_multi_block_decode_reads_back_every_element(n, blocks):
     vector = bytes(itertools.islice(itertools.cycle(range(q.n)), 3 * q.n + 1))
     assert q.tables.decode([vector.translate(code) for code in codes]) == vector
     v = quantale_as_vcategory(q)
-    assert_meet_rows_are_hom_rows(v, [*v.hom, *as_rows(zip(*v.hom)), bytes(reversed(vector[: q.n]))])
+    reverse = bytes(reversed(vector[: q.n]))
+    assert_meet_rows_are_hom_rows(v, [*v.hom, *as_rows(zip(*v.hom)), reverse])
 
 
 def test_meet_row_over_the_one_element_quantale():

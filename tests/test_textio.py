@@ -65,7 +65,11 @@ def test_presheaves_constructor_caps():
 
 def _presheaves_of_discrete(n):
     objects = " ".join(f"a{i}" for i in range(n))
-    return f"quantale two builtin two\nvcategory A = discrete two {objects}\nvcategory P = presheaves A\n"
+    return (
+        "quantale two builtin two\n"
+        f"vcategory A = discrete two {objects}\n"
+        "vcategory P = presheaves A\n"
+    )
 
 
 def test_presheaves_constructor_bounds_its_hom_entries_by_the_node_cap():
