@@ -310,12 +310,10 @@ def is_bimorphism(f: VFunctor, a: VCategory, b: VCategory) -> bool:
     a map out of tensor_vcat(a, b), a and b separated cocomplete."""
     nb = len(b)
     for y in range(nb):
-        part = VFunctor(a, f.cod, tuple(f.mapping[x * nb + y] for x in range(len(a))))
-        if not is_cocontinuous(part):
+        if not is_cocontinuous(VFunctor(a, f.cod, f.mapping[y::nb])):
             return False
     for x in range(len(a)):
-        part = VFunctor(b, f.cod, tuple(f.mapping[x * nb + y] for y in range(nb)))
-        if not is_cocontinuous(part):
+        if not is_cocontinuous(VFunctor(b, f.cod, f.mapping[x * nb : (x + 1) * nb])):
             return False
     return True
 
