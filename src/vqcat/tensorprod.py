@@ -366,7 +366,7 @@ def check_universal_property(
     Conversely C(h xi, h' xi) = meet_p [xi(p), C(g p, h' xi)], h xi being
     the colimit of g weighted by xi, and xi(p) = carrier(i p, xi) <=
     C(g' p, h' xi) as h' is a V-functor, so each term is at least
-    C(g p, g' p).
+    C(g p, g' p).  A `t` built from other factors raises ValueError.
     """
     if c.quantale != a.quantale:
         raise QuantaleMismatch("test codomain is over another quantale than the factors")
