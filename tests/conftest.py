@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from vqcat.dist import Distributor
@@ -7,26 +9,37 @@ from vqcat.vcat import VCategory, quantale_as_vcategory, validate_vcategory
 from categories import terminal_category
 
 
-def bytes_rows_only(init, field):
-    """`init`, then a test failure if the matrix `field` is not a tuple of
-    `bytes` rows."""
+ROW_FIELDS = {VCategory: "hom", Distributor: "mat"}
 
+
+def assert_bytes_rows(obj):
+    """A test failure if the matrix of a V-category or distributor is not a
+    tuple of `bytes` rows."""
+    field = ROW_FIELDS[type(obj)]
+    rows = getattr(obj, field)
+    if type(rows) is not tuple or not all(type(row) is bytes for row in rows):
+        pytest.fail(f"{type(obj).__name__}.{field} is not a tuple of bytes rows")
+
+
+def checked_init(init):
     def checked(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        rows = getattr(self, field)
-        if type(rows) is not tuple or not all(type(row) is bytes for row in rows):
-            pytest.fail(f"{type(self).__name__}.{field} is not a tuple of bytes rows")
+        assert_bytes_rows(self)
 
     return checked
 
 
 @pytest.fixture(scope="session", autouse=True)
 def one_row_type():
-    """Every V-category and distributor built in a test holds its rows as
-    `bytes`, the one type of a vector of quantale elements."""
-    saved = {VCategory: VCategory.__init__, Distributor: Distributor.__init__}
-    VCategory.__init__ = bytes_rows_only(saved[VCategory], "hom")
-    Distributor.__init__ = bytes_rows_only(saved[Distributor], "mat")
+    """Every V-category and distributor of the run holds its rows as `bytes`,
+    the one type of a vector of quantale elements: those built while the
+    tests were collected are checked once, every later one as it is built."""
+    for obj in gc.get_objects():
+        if type(obj) in ROW_FIELDS:
+            assert_bytes_rows(obj)
+    saved = {cls: cls.__init__ for cls in ROW_FIELDS}
+    for cls, init in saved.items():
+        cls.__init__ = checked_init(init)
     yield
     for cls, init in saved.items():
         cls.__init__ = init
