@@ -52,8 +52,8 @@ def functor_hom_matrix(cod: VCategory, fs, gs) -> tuple[bytes, ...]:
 def validate_distributor(dom: VCategory, cod: VCategory, mat) -> Distributor:
     if dom.quantale != cod.quantale:
         raise QuantaleMismatch("distributor between categories over different quantales")
-    try:
-        mat = tuple(map(bytes, mat))
+    try:  # iter: `bytes` of an int row would make that many zero bytes
+        mat = tuple(bytes(iter(row)) for row in mat)
     except (TypeError, ValueError):
         raise VCatError("distributor entries are not element indices below 256") from None
     if len(mat) != len(cod) or any(len(r) != len(dom) for r in mat):

@@ -192,7 +192,7 @@ def hom_matrix(q: Quantale, us, ws) -> tuple[bytes, ...]:
     per w in `ws`; all vectors are `bytes` of one length."""
     us, ws = tuple(us), tuple(ws)
     if not (us and ws):
-        return tuple(b"" for _ in us)
+        return (b"",) * len(us)
     n, m, flat = len(ws), len(ws[0]), b"".join(ws)
     upsets, blocks, decode = q.tables.upsets, q.tables.blocks, q.tables.decode
     # Bitsets over ws put w_i at bit n-1-i, the order of int(., 2) and of

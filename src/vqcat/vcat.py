@@ -66,8 +66,8 @@ def columns(rows, m: int) -> tuple[bytes, ...]:
 def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
     """Check the reflexivity and composition inequalities, with witnesses."""
     objects = tuple(objects)
-    try:
-        hom = tuple(map(bytes, hom))
+    try:  # iter: `bytes` of an int row would make that many zero bytes
+        hom = tuple(bytes(iter(row)) for row in hom)
     except (TypeError, ValueError):
         raise VCatError("hom entries are not element indices below 256") from None
     m = len(objects)
@@ -80,7 +80,7 @@ def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
                 (objects[x], len(row)),
             )
         for y, v in enumerate(row):
-            if not 0 <= v < q.n:
+            if v >= q.n:
                 raise VCatError(
                     f"hom[{objects[x]}][{objects[y]}] = {v} is not a quantale index",
                     (objects[x], objects[y], v),

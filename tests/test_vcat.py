@@ -144,10 +144,13 @@ def test_row_type_guard_sees_a_row_that_is_not_bytes(two, chain2):
     assert VCategory(two, ("x0", "x1"), (b"\1\1", b"\0\1")) == chain2
 
 
-@pytest.mark.parametrize("entry", [-1, 256, None])
-def test_entries_past_a_byte_are_typed_errors(two, chain2, entry):
-    # validation keeps rows as bytes; what no byte holds is no element
+@pytest.mark.parametrize(
+    "row", [(-1, 1), (256, 1), (None, 1), 2], ids=["-1", "256", "None", "int"]
+)
+def test_rows_of_other_than_element_indices_are_typed_errors(two, chain2, row):
+    # validation keeps rows as bytes; what no byte holds is no element, and
+    # an int is no row, though `bytes(2)` would be two zero bytes
     with pytest.raises(VCatError, match="not element indices below 256"):
-        validate_vcategory(two, ("p", "q"), ((1, entry), (0, 1)))
+        validate_vcategory(two, ("p", "q"), ((1, 1), row))
     with pytest.raises(VCatError, match="not element indices below 256"):
-        validate_distributor(chain2, chain2, ((1, entry), (0, 1)))
+        validate_distributor(chain2, chain2, ((1, 1), row))
