@@ -35,7 +35,7 @@ from .presheaf import (
     enumerate_presheaves,
     vector_name,
 )
-from .vcat import VCategory, column_slices, columns, separation_witness
+from .vcat import VCategory, columns, separation_witness
 
 
 def sup_target(x: VCategory, values):
@@ -203,10 +203,9 @@ def dense_generators(a: VCategory) -> tuple[int, ...]:
 
 def is_cocontinuous(f: VFunctor) -> bool:
     """f preserves all suprema, its domain being separated cocomplete: it is
-    a left adjoint, every column B(f-, c) a column A(-, g c) of A.  The
-    columns are built one at a time, and the answer is known at the first
-    that is no column of A."""
+    a left adjoint, every column B(f-, c) a column A(-, g c) of A."""
     if not f.mapping:
         return not f.cod.hom
-    flat, cuts = b"".join(map(f.cod.hom.__getitem__, f.mapping)), column_slices(len(f.cod.hom))
-    return all(map(f.dom.column_index.__contains__, map(flat.__getitem__, cuts)))
+    hom = f.cod.hom
+    cols = columns([hom[x] for x in f.mapping], len(hom))
+    return all(map(f.dom.column_index.__contains__, cols))

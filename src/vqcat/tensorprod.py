@@ -191,13 +191,13 @@ def ideals_by_columns(
     placed; past `node_cap` SizeExceeded says "ideal enumeration exceeded".
     """
     cols = tuple(theta for theta, fail in wa.ideal_columns.items() if fail is None)
-    na, nb = len(wa.base), len(wb.base)
+    na = len(wa.base)
     c_a = presheaf_subcategory(wa.base, cols)
     ideals = []
     for m in search_vfunctors(opposite(wb.base), c_a, node_cap, "ideal"):
-        xi = bytes(cols[k][x] for x in range(na) for k in m)
-        if all(wb.ideal_columns[xi[x * nb : (x + 1) * nb]] is None for x in range(na)):
-            ideals.append(xi)
+        rows = columns(map(cols.__getitem__, m), na)  # the rows xi(a, -)
+        if all(wb.ideal_columns[row] is None for row in rows):
+            ideals.append(b"".join(rows))
     return tuple(sorted(ideals))
 
 
@@ -272,11 +272,11 @@ def reflect_vector(q, ideal_vectors, values):
 
 def _galois_images(a: VCategory, b: VCategory, node_cap: int):
     """The image xi_f(x, y) = B(y, f x) of each sup-map f : A -> B^op, as a
-    vector in pair order."""
-    nb = len(b)
+    vector in pair order: the rows B^op(f x, -) joined."""
+    bop = opposite(b)
     return [
-        bytes(b.hom[y][f.mapping[x]] for x in range(len(a)) for y in range(nb))
-        for f in enumerate_cocontinuous(a, opposite(b), node_cap)
+        b"".join(map(bop.hom.__getitem__, f.mapping))
+        for f in enumerate_cocontinuous(a, bop, node_cap)
     ]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import QuantaleMismatch, ReflexivityFail, TransitivityFail, VCatError
 from .kernel import SupKernel
@@ -53,14 +54,17 @@ class VCategory:
 
 
 @lru_cache(maxsize=64)
-def column_slices(m: int) -> tuple[slice, ...]:
-    """The slices that cut the columns out of joined `bytes` rows of length m."""
-    return tuple(slice(b, None, m) for b in range(m))
+def column_cuts(m: int):
+    """The function that cuts joined `bytes` rows of length m into their m
+    columns, in one call: an `itemgetter` of strided slices."""
+    if m < 2:  # an itemgetter of one item returns the item, not a tuple
+        return lambda flat: (flat,) * m
+    return itemgetter(*(slice(b, None, m) for b in range(m)))
 
 
 def columns(rows, m: int) -> tuple[bytes, ...]:
     """The m columns of a matrix of `bytes` rows of length m."""
-    return tuple(map(b"".join(rows).__getitem__, column_slices(m)))
+    return column_cuts(m)(b"".join(rows))
 
 
 def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
