@@ -3,6 +3,10 @@
 Distributor matrices are stored cod-major: `mat[y]` is the row phi(y, -)
 as `bytes`, like a hom row, so `mat[y][x]` is phi(y,x) for phi: X -|-> Y,
 matching the composition and extension formulas index for index.
+
+Every meet of residuations is `kernel.hom_matrix`: the extension, the
+lifting, and the bound of the bimodule condition (`kernel.product_failure`).
+`functor_hom` is one cell of it, kept readable as an oracle.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BoundaryMismatch, QuantaleMismatch, VCatError
-from .kernel import hom_matrix
+from .kernel import hom_matrix, product_failure
 from .vcat import VCategory, columns
 
 
@@ -50,6 +54,9 @@ def functor_hom_matrix(cod: VCategory, fs, gs) -> tuple[bytes, ...]:
 
 
 def validate_distributor(dom: VCategory, cod: VCategory, mat) -> Distributor:
+    """Check the shape, the entries and Y * phi * X <= phi, with witnesses.
+    X and Y being reflexive, that is Y * phi <= phi and phi * X <= phi, each
+    one `kernel.product_failure`; the witness is a failing cell (y, x)."""
     if dom.quantale != cod.quantale:
         raise QuantaleMismatch("distributor between categories over different quantales")
     try:  # iter: `bytes` of an int row would make that many zero bytes
@@ -59,17 +66,18 @@ def validate_distributor(dom: VCategory, cod: VCategory, mat) -> Distributor:
     if len(mat) != len(cod) or any(len(r) != len(dom) for r in mat):
         raise VCatError("distributor matrix has wrong shape")
     q = dom.quantale
-    for y2 in range(len(cod)):
-        for y in range(len(cod)):
-            left = cod.hom[y2][y]
-            for x in range(len(dom)):
-                v = q.mult[left][mat[y][x]]
-                for x2 in range(len(dom)):
-                    if not q.leq[q.mult[v][dom.hom[x][x2]]][mat[y2][x2]]:
-                        raise VCatError(
-                            "bimodule condition failed",
-                            (cod.objects[y2], dom.objects[x2]),
-                        )
+    for y, row in enumerate(mat):
+        if max(row, default=0) >= q.n:  # before the kernel reads it as bottom
+            x = next(x for x, v in enumerate(row) if v >= q.n)
+            raise VCatError(
+                f"phi[{cod.objects[y]}][{dom.objects[x]}] = {row[x]} is not a quantale index",
+                (cod.objects[y], dom.objects[x], row[x]),
+            )
+    for left, middle in ((cod.hom, mat), (mat, dom.hom)):
+        failure = product_failure(q, left, middle, mat)
+        if failure is not None:
+            y, _, x = failure
+            raise VCatError("bimodule condition failed", (cod.objects[y], dom.objects[x]))
     return Distributor(dom, cod, mat)
 
 
@@ -96,33 +104,21 @@ def compose_dist(psi: Distributor, phi: Distributor) -> Distributor:
 
 
 def right_extension(xi: Distributor, phi: Distributor) -> Distributor:
-    """(xi <- phi)(z,y) = meet_x [phi(y,x), xi(z,x)], for phi: X-|->Y, xi: X-|->Z."""
+    """(xi <- phi)(z,y) = meet_x [phi(y,x), xi(z,x)], for phi: X-|->Y, xi: X-|->Z:
+    the transpose of `hom_matrix` of the rows of phi against those of xi."""
     if xi.dom != phi.dom:
         raise BoundaryMismatch("right extension boundary mismatch")
-    q = xi.dom.quantale
-    nx = len(xi.dom)
-    mat = tuple(
-        bytes(
-            q.meet_of(q.hom[phi.mat[y][x]][xi.mat[z][x]] for x in range(nx))
-            for y in range(len(phi.cod))
-        )
-        for z in range(len(xi.cod))
-    )
-    return Distributor(phi.cod, xi.cod, mat)
+    mat = hom_matrix(xi.dom.quantale, phi.mat, xi.mat)
+    return Distributor(phi.cod, xi.cod, columns(mat, len(xi.cod)))
 
 
 def right_lifting(psi: Distributor, xi: Distributor) -> Distributor:
-    """(psi -> xi)(y,x) = meet_z [psi(z,y), xi(z,x)], for psi: Y-|->Z, xi: X-|->Z."""
+    """(psi -> xi)(y,x) = meet_z [psi(z,y), xi(z,x)], for psi: Y-|->Z, xi: X-|->Z:
+    `hom_matrix` of the columns of psi against those of xi."""
     if psi.cod != xi.cod:
         raise BoundaryMismatch("right lifting boundary mismatch")
-    q = psi.dom.quantale
-    nz = len(psi.cod)
-    mat = tuple(
-        bytes(
-            q.meet_of(q.hom[psi.mat[z][y]][xi.mat[z][x]] for z in range(nz))
-            for x in range(len(xi.dom))
-        )
-        for y in range(len(psi.dom))
+    mat = hom_matrix(
+        psi.dom.quantale, columns(psi.mat, len(psi.dom)), columns(xi.mat, len(xi.dom))
     )
     return Distributor(xi.dom, psi.dom, mat)
 

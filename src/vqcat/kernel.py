@@ -36,6 +36,10 @@ picked by the coordinates of j * u (one `translate` of u through the table
 of v |-> j * v), and a row of the matrix is decoded from its J bitsets with
 `format`, `translate` and `to_bytes`: per join-irreducible, not per cell.
 Vectors enter and rows leave as `bytes`, so nothing is converted.
+
+The inequalities X * X <= X of a V-category and Y * phi <= phi, phi * X <=
+phi of a distributor are `product_failure`: left[i][j] * us[j][b] <=
+ws[i][b] for all b iff left[i][j] <= cell (j, i) of `hom_matrix(q, us, ws)`.
 """
 
 from __future__ import annotations
@@ -213,3 +217,19 @@ def hom_matrix(q: Quantale, us, ws) -> tuple[bytes, ...]:
             masks.append(acc.to_bytes(n, "big"))
         rows.append(decode(masks))
     return tuple(rows)
+
+
+def product_failure(q: Quantale, left, us, ws):
+    """The first (i, j, b) in lexicographic order with left[i][j] * us[j][b]
+    not below ws[i][b], or None; `left` has a row per w in `ws` and a column
+    per u in `us`.  b is searched only on the first failing pair (i, j)."""
+    r, leq = len(ws), q.leq
+    meets = b"".join(hom_matrix(q, us, ws))
+    for i, row in enumerate(left):
+        bounds = meets[i::r]  # column i: the bound of each left[i][j]
+        if not all(map(getitem, map(leq.__getitem__, row), bounds)):
+            j = next(j for j, (v, t) in enumerate(zip(row, bounds)) if not leq[v][t])
+            mult_v = q.mult[row[j]]
+            pairs = enumerate(zip(us[j], ws[i]))
+            return i, j, next(b for b, (u, w) in pairs if not leq[mult_v[u]][w])
+    return None

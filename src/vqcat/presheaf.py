@@ -372,21 +372,11 @@ def D_inv(f: VFunctor, dx: PresheafCategory, dy: PresheafCategory) -> VFunctor:
 
 
 def D_all(f: VFunctor, dx: PresheafCategory, dy: PresheafCategory) -> VFunctor:
-    """D_forall f: D(X) -> D(Y), phi |-> meet_x [Y(fx, -), phi(x)]."""
-    q = f.dom.quantale
-    mapping = tuple(
-        dy.index[
-            bytes(
-                q.meet_of(
-                    q.hom[f.cod.hom[f.mapping[a]][b]][phi[a]]
-                    for a in range(len(f.dom))
-                )
-                for b in range(len(dy.base))
-            )
-        ]
-        for phi in dx.vectors
-    )
-    return VFunctor(dx.cat, dy.cat, mapping)
+    """D_forall f: D(X) -> D(Y), phi |-> meet_x [Y(fx, -), phi(x)]: column
+    phi of `hom_matrix` of the columns Y(f-, y) against the presheaves."""
+    ys = columns(map(f.cod.hom.__getitem__, f.mapping), len(f.cod))
+    images = columns(hom_matrix(f.dom.quantale, ys, dx.vectors), len(dx.vectors))
+    return VFunctor(dx.cat, dy.cat, tuple(map(dy.index.__getitem__, images)))
 
 
 def mu(x: VCategory, dx: PresheafCategory, ddx: PresheafCategory) -> VFunctor:

@@ -5,6 +5,7 @@ one element index per cell, so `hom[x][y]` is the element X(x, y).  Every
 vector of quantale elements in vqcat, a hom or distributor row or a
 presheaf, is such a `bytes`.  Equality of V-categories is name-insensitive:
 same quantale, same size, same hom matrix under the declared object order.
+Validation reads the composition inequality off `kernel.hom_matrix`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .errors import QuantaleMismatch, ReflexivityFail, TransitivityFail, VCatError
-from .kernel import SupKernel
+from .kernel import SupKernel, product_failure
 from .quantale import Quantale
 
 
@@ -68,7 +69,8 @@ def columns(rows, m: int) -> tuple[bytes, ...]:
 
 
 def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
-    """Check the reflexivity and composition inequalities, with witnesses."""
+    """Check the reflexivity and composition inequalities, with witnesses;
+    the latter is one `kernel.product_failure`, its first failing (x, y, z)."""
     objects = tuple(objects)
     try:  # iter: `bytes` of an int row would make that many zero bytes
         hom = tuple(bytes(iter(row)) for row in hom)
@@ -83,26 +85,22 @@ def validate_vcategory(q: Quantale, objects, hom) -> VCategory:
                 f"hom row {objects[x]} has {len(row)} entries for {m} objects",
                 (objects[x], len(row)),
             )
-        for y, v in enumerate(row):
-            if v >= q.n:
-                raise VCatError(
-                    f"hom[{objects[x]}][{objects[y]}] = {v} is not a quantale index",
-                    (objects[x], objects[y], v),
-                )
+        if max(row, default=0) >= q.n:  # before the kernel reads it as bottom
+            y = next(y for y, v in enumerate(row) if v >= q.n)
+            raise VCatError(
+                f"hom[{objects[x]}][{objects[y]}] = {row[y]} is not a quantale index",
+                (objects[x], objects[y], row[y]),
+            )
     for x in range(m):
         if not q.leq[q.unit][hom[x][x]]:
             raise ReflexivityFail(
                 f"e is not below hom[{objects[x]}][{objects[x]}]", (objects[x],)
             )
-    for x in range(m):
-        for y in range(m):
-            v = hom[x][y]
-            for z in range(m):
-                if not q.leq[q.mult[v][hom[y][z]]][hom[x][z]]:
-                    raise TransitivityFail(
-                        "composition inequality failed",
-                        (objects[x], objects[y], objects[z]),
-                    )
+    failure = product_failure(q, hom, hom, hom)
+    if failure is not None:
+        raise TransitivityFail(
+            "composition inequality failed", tuple(map(objects.__getitem__, failure))
+        )
     return VCategory(q, objects, hom)
 
 

@@ -4,7 +4,11 @@ chain quantales; the hypothesis strategies `random_categories` and
 `random_sup_lattices`; and the test-only helpers `try_cocomplete`,
 `cocomplete_by_sup_table`, `left_adjoints`, `dual_category`,
 `nuclear_by_carrier`, `unit_and_injectivity`, `search_by_placement`,
-`is_presheaf_vector` and `hom_ij`; and the small constructions the
+`is_presheaf_vector` and `hom_ij`; the per-cell folds that the library
+replaced by `kernel.hom_matrix`, kept as oracles:
+`composition_failure_by_loop`, `bimodule_failures_by_loop`,
+`right_extension_by_fold`, `right_lifting_by_fold`, `D_all_by_fold` and
+`star_autonomy_by_hom`; and the small constructions the
 library does not need: `validate_functor`, `identity_functor`, `graph`,
 `functor_to_dist`, `terminal_category`, `is_separated` and
 `right_adjoint`."""
@@ -22,6 +26,7 @@ from vqcat.kernel import hom_matrix
 from vqcat.presheaf import (
     DEFAULT_NODE_CAP,
     enumerate_presheaves,
+    full_subcategory,
     presheaf_hom,
     presheaf_subcategory,
 )
@@ -425,3 +430,89 @@ def random_sup_lattices(draw, quantales, max_objects=4, max_size=24):
         closed.add(phi)
         assume(len(closed) <= max_size)
     return presheaf_subcategory(x, sorted(map(bytes, closed)))
+
+
+def composition_failure_by_loop(q, hom):
+    """The first (x, y, z) in lexicographic order with X(x, y) * X(y, z)
+    not below X(x, z), or None: the loop that `validate_vcategory` ran
+    before `kernel.product_failure`."""
+    m = len(hom)
+    for x in range(m):
+        for y in range(m):
+            v = hom[x][y]
+            for z in range(m):
+                if not q.leq[q.mult[v][hom[y][z]]][hom[x][z]]:
+                    return x, y, z
+    return None
+
+
+def bimodule_failures_by_loop(dom, cod, mat):
+    """Every cell (y2, x2) with Y(y2, y) * phi(y, x) * X(x, x2) not below
+    phi(y2, x2) for some y and x, by the four-index loop that
+    `validate_distributor` ran before `kernel.product_failure`: phi is a
+    bimodule iff the set is empty."""
+    q = dom.quantale
+    failing = set()
+    for y2 in range(len(cod)):
+        for y in range(len(cod)):
+            left = cod.hom[y2][y]
+            for x in range(len(dom)):
+                v = q.mult[left][mat[y][x]]
+                for x2 in range(len(dom)):
+                    if not q.leq[q.mult[v][dom.hom[x][x2]]][mat[y2][x2]]:
+                        failing.add((y2, x2))
+    return failing
+
+
+def right_extension_by_fold(xi, phi):
+    """(xi <- phi)(z,y) = meet_x [phi(y,x), xi(z,x)], cell by cell."""
+    q = xi.dom.quantale
+    return tuple(
+        bytes(
+            q.meet_of(q.hom[phi.mat[y][x]][xi.mat[z][x]] for x in range(len(xi.dom)))
+            for y in range(len(phi.cod))
+        )
+        for z in range(len(xi.cod))
+    )
+
+
+def right_lifting_by_fold(psi, xi):
+    """(psi -> xi)(y,x) = meet_z [psi(z,y), xi(z,x)], cell by cell."""
+    q = psi.dom.quantale
+    return tuple(
+        bytes(
+            q.meet_of(q.hom[psi.mat[z][y]][xi.mat[z][x]] for z in range(len(psi.cod)))
+            for x in range(len(xi.dom))
+        )
+        for y in range(len(psi.dom))
+    )
+
+
+def D_all_by_fold(f, dx, dy):
+    """The mapping of D_forall f, phi |-> meet_x [Y(fx, -), phi(x)], cell by
+    cell."""
+    q = f.dom.quantale
+    return tuple(
+        dy.index[
+            bytes(
+                q.meet_of(q.hom[f.cod.hom[f.mapping[a]][b]][phi[a]] for a in range(len(f.dom)))
+                for b in range(len(dy.base))
+            )
+        ]
+        for phi in dx.vectors
+    )
+
+
+def star_autonomy_by_hom(a, node_cap=DEFAULT_NODE_CAP):
+    """Whether evaluation a |-> (g |-> g a) is a bijection of A onto A**
+    that keeps the hom, A** built with its functor hom matrix: the
+    comparison that `star_autonomy_check` makes without the matrix, by
+    Yoneda."""
+    vop = opposite(quantale_as_vcategory(a.quantale))
+    a1, f1 = vsup_category(a, vop, node_cap)
+    a2, f2 = vsup_category(a1, vop, node_cap)
+    index2 = {g.mapping: k for k, g in enumerate(f2)}
+    ev = [index2.get(tuple(g.mapping[x] for g in f1)) for x in range(len(a))]
+    if len(a2) != len(a) or None in ev or len(set(ev)) != len(a):
+        return False
+    return a.hom == full_subcategory(a2, ev).hom

@@ -4,8 +4,11 @@ quantale only through its tables: no module names a removed alias.  It
 holds one backtracking search: one function compares a counter against
 `node_cap`.  And it takes every hom of presheaf vectors from
 `kernel.hom_matrix`: no module calls the scalar `presheaf_hom`, which the
-tests keep as an oracle.  Likewise it decides cocontinuity by one column
-lookup (`cocomplete.is_cocontinuous`): no module calls `is_adjoint_functors`.
+tests keep as an oracle.  Every other meet of residuations, the validators'
+inequalities, the distributor extensions and D_forall among them, is one
+too: only the one-cell formulas kept readable read `Quantale.meet_of`.
+Likewise it decides cocontinuity by one column lookup
+(`cocomplete.is_cocontinuous`): no module calls `is_adjoint_functors`.
 And it encodes vectors in one place: only `kernel.py` names `Planes`,
 calls `int.from_bytes`, `int.to_bytes` or a `translate` method, or reads
 `tables.decode` or `tables.planes`.  And it enumerates V-functors
@@ -397,6 +400,44 @@ def test_tensorprod_imports_no_hom_matrix():
         for alias in node.names
     }
     assert "hom_matrix" not in imported
+
+
+# the one-cell formulas kept readable: the oracles that the benchmark's
+# tracer names, and the reflector's closed form, which the corpus checks
+# against the reflector
+READABLE_MEETS = [
+    "ccd.py:ccd_reflector",
+    "cocomplete.py:sup_target",
+    "dist.py:functor_hom",
+    "presheaf.py:presheaf_hom",
+]
+
+
+def test_every_other_meet_of_residuations_is_a_hom_matrix():
+    assert reading_sites("meet_of") == READABLE_MEETS
+
+
+def test_guard_sees_a_second_fold():
+    trees = {
+        "dist.py": ast.parse(
+            "def functor_hom(f, g):\n"
+            "    return q.meet_of(f.cod.hom[a][b] for a, b in pairs)\n"
+            "def right_extension(xi, phi):\n"
+            "    fold = q.meet_of\n"
+            "    return bytes(fold(cells) for cells in rows)\n"
+        ),
+        "vcat.py": ast.parse(
+            "def validate_vcategory(q, objects, hom):\n"
+            "    return all(q.leq[q.unit][q.meet_of(row)] for row in hom)\n"
+            "top = q.meet_of(())\n"
+        ),
+    }
+    assert reading_sites("meet_of", trees) == [
+        "dist.py:functor_hom",
+        "dist.py:right_extension",
+        "vcat.py:validate_vcategory",
+        "vcat.py:<module>",
+    ]
 
 
 MONAD_DATA = {"yoneda", "D_on_functor", "D_inv", "D_all", "mu", "d0", "d2", "inverter"}

@@ -716,8 +716,13 @@ def _two_categories(draw):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_sup_maps_match_enumerate_then_filter_on_random_categories(data):
-    # any domain and any codomain, separated or not: exactly the left adjoints
+    # any domain; into a separated codomain exactly the left adjoints, and a
+    # codomain that is not separated is refused before any search
     a, cod = _two_categories(data.draw)
+    if not is_separated(cod):
+        with pytest.raises(NotSeparated, match="^sup-map codomain is not separated$"):
+            enumerate_cocontinuous(a, cod)
+        return
     try:
         expected = sup_maps_by_filter(a, cod, 20_000)
     except SizeExceeded:
@@ -750,6 +755,10 @@ def test_bimorphisms_match_enumerate_then_filter(triple):
 def test_bimorphisms_match_enumerate_then_filter_on_random_categories(data):
     a, b = _two_categories(data.draw)
     c = data.draw(random_categories([a.quantale], max_objects=3))
+    if not is_separated(c):
+        with pytest.raises(NotSeparated, match="^bimorphism codomain is not separated$"):
+            enumerate_bimorphisms(a, b, c)
+        return
     try:
         expected = bimorphisms_by_filter(a, b, c, 20_000)
     except SizeExceeded:
@@ -821,16 +830,15 @@ def _indiscrete(n):
 
 
 def test_bimorphism_count_guard():
-    # into the indiscrete 2-object category every map is a bimorphism, and
-    # each of the 2^4 V-functors on the 4 generator pairs has 2^5 twin
-    # extensions: the 512 maps pass 56 x 9 after fewer than 56 nodes
+    # the indiscrete 2-object category is not separated: a colimit in it is
+    # no one object, so the search refuses it before placing any image
     c3, ind = _chain(3), _indiscrete(2)
-    assert len(enumerate_bimorphisms(c3, c3, ind, 57)) == 512
-    with pytest.raises(SizeExceeded) as exc:
-        enumerate_bimorphisms(c3, c3, ind, 56)
-    assert str(exc.value) == "bimorphism count exceeded 56 nodes x 9 objects: 505 maps"
+    with pytest.raises(NotSeparated, match="^bimorphism codomain is not separated$"):
+        enumerate_bimorphisms(c3, c3, ind, 1)
+    with pytest.raises(NotSeparated, match="^sup-map codomain is not separated$"):
+        enumerate_cocontinuous(c3, ind, 1)
     # into a separated codomain each map is a leaf of the search, so its
-    # node count stops the list first: 105 maps need 180 nodes
+    # node count bounds the list: 105 maps need 180 nodes
     c5 = _chain(5)
     with pytest.raises(SizeExceeded, match="functor enumeration exceeded 179 nodes"):
         enumerate_bimorphisms(c3, c3, c5, 179)
